@@ -62,8 +62,21 @@ def word_to_tokens(word: Word, names: Sequence[str]) -> str:
     return " ".join(names[g] if e == 1 else f"{names[g]}^-1" for g, e in word)
 
 
+def _int_token(tok: str, line: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(line, f"{what} must be an integer, got {tok!r}") from None
+
+
+def _single_int(toks: Sequence[str], line: int) -> int:
+    if len(toks) != 2:
+        raise ParseError(line, f"{toks[0]} takes exactly one integer")
+    return _int_token(toks[1], line, toks[0])
+
+
 def parse_representation(text: str) -> Representation:
-    p = None
+    ctx = None
     n = None
     names: Optional[tuple] = None
     rel_tokens = []
@@ -76,18 +89,25 @@ def parse_representation(text: str) -> Representation:
         lineno, toks = lines[i]
         key = toks[0]
         if key == "p":
-            p = int(toks[1])
+            try:
+                ctx = PrimeCtx(_single_int(toks, lineno))
+            except ValueError as e:
+                raise ParseError(lineno, str(e)) from None
         elif key == "n":
-            n = int(toks[1])
+            n = _single_int(toks, lineno)
+            if n < 1:
+                raise ParseError(lineno, f"n must be at least 1, got {n}")
         elif key == "gens":
-            count = int(toks[1])
+            if len(toks) < 2:
+                raise ParseError(lineno, "gens takes a count followed by the generator names")
+            count = _int_token(toks[1], lineno, "generator count")
             names = tuple(toks[2:])
             if len(names) != count:
                 raise ParseError(lineno, f"expected {count} generator names, got {len(names)}")
         elif key == "rel":
             rel_tokens.append((lineno, toks[1:]))
         elif key == "mat":
-            if p is None or n is None or names is None:
+            if ctx is None or n is None or names is None:
                 raise ParseError(lineno, "p, n and gens must precede mat blocks")
             if len(toks) != 2:
                 raise ParseError(lineno, "mat takes exactly one generator name")
@@ -108,29 +128,25 @@ def parse_representation(text: str) -> Representation:
                     raise ParseError(rowno, "matrix rows must be integers") from None
                 if len(vals) != n:
                     raise ParseError(rowno, f"expected {n} entries, got {len(vals)}")
-                if any(not 0 <= v < p for v in vals):
-                    raise ParseError(rowno, f"entries must lie in [0, {p})")
+                if any(not 0 <= v < ctx.p for v in vals):
+                    raise ParseError(rowno, f"entries must lie in [0, {ctx.p})")
                 pending_rows.append(vals)
             mats[current] = pending_rows
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
         i += 1
-    if p is None:
+    if ctx is None:
         raise ParseError(0, "missing p line")
     if n is None:
         raise ParseError(0, "missing n line")
     if names is None:
         raise ParseError(0, "missing gens line")
-    try:
-        ctx = PrimeCtx(p)
-    except ValueError as e:
-        raise ParseError(0, str(e)) from None
     relators = tuple(word_from_tokens(toks, names, lineno) for lineno, toks in rel_tokens)
     pres = Presentation(names, relators)
     missing = [nm for nm in names if nm not in mats]
     if missing:
         raise ParseError(0, f"missing matrices for {missing}")
-    gen_mats = tuple(Mat(p, mats[nm]) for nm in names)
+    gen_mats = tuple(Mat(ctx.p, mats[nm]) for nm in names)
     return Representation(ctx, pres, gen_mats, n)
 
 

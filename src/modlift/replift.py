@@ -12,10 +12,22 @@ x_{j_t}^{-1} when e_t = -1) and 1 + p*E_w is the evaluation of w at the
 chosen lifts.  Solvability of the resulting affine system over F_p is
 therefore equivalent to the existence of a lift; both outcomes carry an
 independently checkable certificate.
+
+In the row-major layout the map A |-> v A v^-1 is kron(v, (v^-1)^T), so
+entry [(a,b),(c,d)] of generator g's block is sum_t e_t v_t[a,c] v_t^-1[d,b]
+over the letters t of g.  `linearize` walks each relator once, stacks the
+prefixes v_t and v_t^-1 as rows of two matrices and forms that sum as one
+float64 matrix product per generator.  The letters go in chunks of _CHUNK
+and the sums are reduced mod p after each chunk, so no sum exceeds
+_CHUNK * (p-1)^2 < 2^53 and float64 is exact for every admitted prime: there
+is no second, integer path.  The same walk evaluates the relator at the
+lifts over Z/p^2, which gives E_w.  Certificates are re-checked with
+`eval_word`, which shares no code with that walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +42,7 @@ from .rings import (
     PrimeCtx,
     Singular,
     UnknownLayout,
+    matmul_mod,
     merge_kernel_element,
     solve_affine,
     split_kernel_element,
@@ -117,15 +130,16 @@ class LiftVerdict:
 # validation and word evaluation
 
 
-def eval_word_fp(rep: Representation, word: Word) -> Mat:
-    acc = Mat.identity(rep.ctx.p, rep.n)
+def eval_word(mats: Sequence[Mat], word: Word, mod: int, n: int) -> Mat:
+    """The value of word over Z/mod, with mats[g] as the image of generator g."""
+    acc = Mat.identity(mod, n)
     invs = {}
     for g, e in word:
         if e == 1:
-            acc = acc @ rep.gen_mats[g]
+            acc = acc @ mats[g]
         else:
             if g not in invs:
-                invs[g] = rep.gen_mats[g].inv()
+                invs[g] = mats[g].inv()
             acc = acc @ invs[g]
     return acc
 
@@ -140,7 +154,7 @@ def validate_rep(rep: Representation) -> None:
                 f"generator {rep.presentation.names[i]!r} is not invertible over F_{rep.ctx.p}"
             ) from None
     for i, w in enumerate(rep.presentation.relators):
-        if not eval_word_fp(rep, w).is_identity():
+        if not eval_word(rep.gen_mats, w, rep.ctx.p, rep.n).is_identity():
             raise InvalidRepresentation(f"relator #{i} does not evaluate to the identity")
 
 
@@ -158,84 +172,113 @@ def randomized_lifts(rep: Representation, rng: np.random.Generator) -> tuple:
     )
 
 
-def _eval_word_lifted(lifts: Sequence[Mat], word: Word, p2: int, n: int) -> Mat:
-    acc = Mat.identity(p2, n)
-    invs = {}
-    for g, e in word:
-        if e == 1:
-            acc = acc @ lifts[g]
-        else:
-            if g not in invs:
-                invs[g] = lifts[g].inv()
-            acc = acc @ invs[g]
-    return acc
+def _check_naive_lifts(rep: Representation, naive_lifts: Sequence[Mat]) -> None:
+    for m, lifted in zip(rep.gen_mats, naive_lifts):
+        if lifted.mod != rep.ctx.p2 or lifted.reduce(rep.ctx.p) != m:
+            raise InvalidRepresentation("naive lifts must reduce to the generator matrices")
 
 
 def relator_defect(rep: Representation, naive_lifts: Sequence[Mat], word: Word) -> Mat:
     """E_w with w(lifts) = 1 + p*E_w; NotInKernel if w is not a relator."""
-    p = rep.ctx.p
-    for m, lifted in zip(rep.gen_mats, naive_lifts):
-        if lifted.mod != rep.ctx.p2 or lifted.reduce(p) != m:
-            raise InvalidRepresentation("naive lifts must reduce to the generator matrices")
-    w_val = _eval_word_lifted(naive_lifts, word, rep.ctx.p2, rep.n)
-    return split_kernel_element(w_val, p)
+    _check_naive_lifts(rep, naive_lifts)
+    w_val = eval_word(naive_lifts, word, rep.ctx.p2, rep.n)
+    return split_kernel_element(w_val, rep.ctx.p)
 
 
 # ---------------------------------------------------------------------------
 # linearization and the decision procedure
 
 
+# Letters per stacked product.  Each entry of one product is a sum of at most
+# _CHUNK terms, each below (p-1)^2 < 2^30 (p <= PRIME_CAP = 2^15), so float64
+# holds it exactly for any _CHUNK below 2^23.  The chunk also caps the stacked
+# prefixes at 2 * _CHUNK * n^2 floats, whatever the length of the relator.
+_CHUNK = 512
+
+
+def _linearize_relator(out, word, gens, gen_invs, lifts, lift_invs, p, p2):
+    """Fill one relator's block and return the relator's value at the lifts.
+
+    out is the relator's zeroed block viewed as (n, n, k, n, n), so that
+    out[a, b, g, c, d] is row (a, b), column (g, c, d) of the system; each
+    chunk's product is added into it and reduced mod p.  The walk carries
+    the prefix w at the naive lifts over Z/p^2, whose reduction mod p is
+    v_t, and v_t^-1 over F_p.  X^T Y comes out indexed [(a,c),(d,b)] and is
+    transposed into place.
+    """
+    n = out.shape[0]
+    n2 = n * n
+    w = np.eye(n, dtype=np.int64)
+    vinv = np.eye(n, dtype=np.int64)
+    for start in range(0, len(word), _CHUNK):
+        chunk = word[start : start + _CHUNK]
+        counts = Counter(g for g, _ in chunk)
+        # X is stored transposed so that both GEMM operands are C-contiguous
+        xt = {g: np.empty((n2, c)) for g, c in counts.items()}
+        y = {g: np.empty((c, n2)) for g, c in counts.items()}
+        filled = dict.fromkeys(counts, 0)
+        for g, e in chunk:
+            if e == 1:
+                x_t, y_t = w % p, vinv
+                w = matmul_mod(w, lifts[g], p2)
+                vinv = matmul_mod(gen_invs[g], vinv, p)
+            else:
+                w = matmul_mod(w, lift_invs[g], p2)
+                vinv = matmul_mod(gens[g], vinv, p)
+                x_t, y_t = -w % p, vinv
+            i = filled[g]
+            filled[g] = i + 1
+            xt[g][:, i] = x_t.reshape(-1)
+            y[g][i] = y_t.reshape(-1)
+        for g in counts:
+            block = out[:, :, g]
+            prod = (xt[g] @ y[g]).reshape(n, n, n, n).transpose(0, 3, 1, 2)
+            # prod holds integers below 2^53, so the float-to-int cast is exact
+            np.add(block, prod, out=block, casting="unsafe")
+            np.remainder(block, p, out=block)
+    return w
+
+
 def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) -> LinearizedSystem:
     """Assemble the affine system over F_p whose solutions are the lifts.
 
     One n^2-row block per relator; unknowns laid out by (generator,
-    row-major entry).  The conjugation action A |-> v A v^-1 contributes the
-    Kronecker block kron(v, (v^-1)^T) in this layout.
+    row-major entry).  Each relator is walked once, and generator g's block
+    is X^T Y for the rows X_t = e_t v_t and Y_t = v_t^-1 stacked over the
+    letters t of g (see the module docstring).  The product is taken in
+    float64 over chunks of _CHUNK letters and reduced mod p after each, so
+    its sums stay below _CHUNK * (p-1)^2 < 2^53, where float64 is exact for
+    every prime up to PRIME_CAP; no integer fallback is needed.  The same
+    walk gives each relator's defect E_w.
     """
-    p = rep.ctx.p
+    p, p2 = rep.ctx.p, rep.ctx.p2
     n = rep.n
     k = rep.num_gens
+    relators = rep.presentation.relators
     if n > MAX_DIMENSION:
         raise InvalidRepresentation(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
-    if len(rep.presentation.relators) * n * n > MAX_SYSTEM_ROWS:
+    if len(relators) * n * n > MAX_SYSTEM_ROWS:
         raise InvalidRepresentation(
             f"lift system would exceed {MAX_SYSTEM_ROWS} rows"
         )
     if naive_lifts is None:
         naive_lifts = canonical_lifts(rep)
-    layout = UnknownLayout(k, n)
-    n2 = n * n
-    gen_inv = [m.inv() for m in rep.gen_mats]
-    blocks = []
-    rhs_parts = []
+    _check_naive_lifts(rep, naive_lifts)
+    gens = [m.a for m in rep.gen_mats]
+    gen_invs = [m.inv().a for m in rep.gen_mats]
+    lifts = [m.a for m in naive_lifts]
+    inverted = {g for word in relators for g, e in word if e == -1}
+    lift_invs = {g: naive_lifts[g].inv().a for g in inverted}
+    rows = len(relators) * n * n
+    matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.int64)
+    rhs = np.zeros((len(relators), n, n), dtype=np.int64)
     defects = []
-    for word in rep.presentation.relators:
-        block = np.zeros((n2, k * n2), dtype=np.int64)
-        v = Mat.identity(p, n)
-        vinv = Mat.identity(p, n)
-        for g, e in word:
-            if e == 1:
-                vt, vtinv = v, vinv
-                v = v @ rep.gen_mats[g]
-                vinv = gen_inv[g] @ vinv
-            else:
-                v = v @ gen_inv[g]
-                vinv = rep.gen_mats[g] @ vinv
-                vt, vtinv = v, vinv
-            contrib = np.kron(vt.a, vtinv.a.T)
-            sl = slice(g * n2, (g + 1) * n2)
-            block[:, sl] = (block[:, sl] + e * contrib) % p
-        defect = relator_defect(rep, naive_lifts, word)
+    for block, b, word in zip(matrix, rhs, relators):
+        value = _linearize_relator(block, word, gens, gen_invs, lifts, lift_invs, p, p2)
+        defect = split_kernel_element(Mat(p2, value), p)
+        b[...] = (-defect.a) % p
         defects.append(defect)
-        blocks.append(block)
-        rhs_parts.append((-defect.a.reshape(-1)) % p)
-    if blocks:
-        matrix = np.concatenate(blocks, axis=0)
-        rhs = np.concatenate(rhs_parts)
-    else:
-        matrix = np.zeros((0, k * n2), dtype=np.int64)
-        rhs = np.zeros(0, dtype=np.int64)
-    system = AffineSystem(p, matrix, rhs, layout)
+    system = AffineSystem(p, matrix.reshape(rows, k * n * n), rhs.reshape(rows), UnknownLayout(k, n))
     return LinearizedSystem(system=system, defects=tuple(defects), lifts=tuple(naive_lifts))
 
 
@@ -258,7 +301,7 @@ def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
         if lifted.mod != p2 or lifted.n != rep.n or lifted.reduce(p) != m:
             return False
     for word in rep.presentation.relators:
-        if not _eval_word_lifted(cert.mats, word, p2, rep.n).is_identity():
+        if not eval_word(cert.mats, word, p2, rep.n).is_identity():
             return False
     return True
 
@@ -371,7 +414,7 @@ def restrict(rep_g: Representation, sub_presentation: Presentation, words: Seque
     """Representation of a subgroup: generators are the given words in G's."""
     if len(words) != sub_presentation.num_gens:
         raise InvalidRepresentation("one word per subgroup generator required")
-    mats = tuple(eval_word_fp(rep_g, w) for w in words)
+    mats = tuple(eval_word(rep_g.gen_mats, w, rep_g.ctx.p, rep_g.n) for w in words)
     out = Representation(rep_g.ctx, sub_presentation, mats, rep_g.n)
     validate_rep(out)
     return out

@@ -76,6 +76,17 @@ class PrimeCtx:
 # matrices
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+    """a @ b reduced to [0, mod), for int64 arrays with entries in [0, mod).
+
+    int64 is used while the worst-case dot product cannot overflow, Python
+    integers otherwise (mod can be as large as 2**30).
+    """
+    if a.shape[1] * (mod - 1) * (mod - 1) < (1 << 62):
+        return (a @ b) % mod
+    return ((a.astype(object) @ b.astype(object)) % mod).astype(np.int64)
+
+
 class Mat:
     """Immutable dense square matrix over Z/mod.
 
@@ -130,14 +141,9 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_compatible(other)
-        n, m = self.n, self.mod
-        if n == 0:
+        if self.n == 0:
             return self
-        # int64 is safe while the worst-case dot product cannot overflow
-        if n * (m - 1) * (m - 1) < (1 << 62):
-            return Mat(m, (self.a @ other.a) % m)
-        prod = (self.a.astype(object) @ other.a.astype(object)) % m
-        return Mat(m, prod.astype(np.int64))
+        return Mat(self.mod, matmul_mod(self.a, other.a, self.mod))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_compatible(other)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlift.cli import main
 from modlift.classify import klein_witness_rep
@@ -125,6 +126,50 @@ def test_cli_check_malformed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("p x\nn 1\ngens 1 s\n", "line 1: p must be an integer"),
+        ("p\nn 1\ngens 1 s\n", "line 1: p takes exactly one integer"),
+        ("p 2 3\nn 1\ngens 1 s\n", "line 1: p takes exactly one integer"),
+        ("p 2\nn 1 1\ngens 1 s\n", "line 2: n takes exactly one integer"),
+        ("p 2\nn 1\ngens x s\n", "line 3: generator count must be an integer"),
+        ("p 2\nn 1\ngens\n", "line 3: gens takes a count"),
+        ("p 2\nn -1\ngens 1 s\n", "line 2: n must be at least 1"),
+        ("p 2\nn 0\ngens 1 s\n", "line 2: n must be at least 1"),
+        ("p 1\nn 1\ngens 1 s\n", "line 1: p must be a prime"),
+    ],
+)
+def test_cli_check_rejects_bad_header(tmp_path, capsys, header, message):
+    path = tmp_path / "bad.rep"
+    path.write_text(header + "mat s\n1\n")
+    rc = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert message in err
+
+
+_FUZZ_TOKENS = ["p", "n", "gens", "rel", "mat", "#", "0", "1", "2", "3", "-1", "32749",
+                "x", "s", "t", "s^-1", "^-1", "2.5", "9" * 40]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=80),
+        st.lists(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=5), max_size=12).map(
+            lambda lines: "\n".join(" ".join(toks) for toks in lines)
+        ),
+    )
+)
+def test_parse_representation_fuzz(text):
+    try:
+        parse_representation(text)
+    except ParseError:
+        pass
 
 
 def test_cli_check_json(tmp_path, capsys):

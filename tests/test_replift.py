@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_invertible
 from modlift.groups import (
@@ -9,9 +12,11 @@ from modlift.groups import (
     direct_product_cyclic,
     elementary_abelian,
     generalized_quaternion,
+    winv,
     wpow,
 )
 from modlift.replift import (
+    _CHUNK,
     BudgetExceeded,
     InvalidRepresentation,
     LiftCertificate,
@@ -22,6 +27,7 @@ from modlift.replift import (
     canonical_lifts,
     check_lift,
     direct_sum,
+    eval_word,
     induce,
     linearize,
     randomized_lifts,
@@ -124,6 +130,106 @@ def test_linearize_free_cancellation():
     assert not lin.system.rhs.any()
 
 
+def kron_linearize(rep, naive_lifts):
+    """Reference assembly: one Kronecker block per letter, added mod p."""
+    p, n, k = rep.ctx.p, rep.n, rep.num_gens
+    n2 = n * n
+    gen_inv = [m.inv() for m in rep.gen_mats]
+    blocks, rhs, defects = [], [], []
+    for word in rep.presentation.relators:
+        block = np.zeros((n2, k * n2), dtype=np.int64)
+        v = Mat.identity(p, n)
+        vinv = Mat.identity(p, n)
+        for g, e in word:
+            if e == 1:
+                vt, vtinv = v, vinv
+                v = v @ rep.gen_mats[g]
+                vinv = gen_inv[g] @ vinv
+            else:
+                v = v @ gen_inv[g]
+                vinv = rep.gen_mats[g] @ vinv
+                vt, vtinv = v, vinv
+            sl = slice(g * n2, (g + 1) * n2)
+            block[:, sl] = (block[:, sl] + e * np.kron(vt.a, vtinv.a.T)) % p
+        defect = relator_defect(rep, naive_lifts, word)
+        blocks.append(block)
+        rhs.append((-defect.a.reshape(-1)) % p)
+        defects.append(defect)
+    if not blocks:
+        return np.zeros((0, k * n2), dtype=np.int64), np.zeros(0, dtype=np.int64), ()
+    return np.concatenate(blocks), np.concatenate(rhs), tuple(defects)
+
+
+def random_relator_rep(rng, p, n, k, length):
+    """k generators over F_p with two relators of about `length` letters.
+
+    The first k-1 generators are random; the last is u(x)^-1 * T for a
+    random word u in them and a matrix T of small order d, so (u z)^d is a
+    relator.  Rotation, inversion and conjugation by a random word keep it
+    one while mixing inverse letters into it.  With k = 1 the word is
+    lengthened by a power prime to p instead, so its block stays nonzero.
+    """
+    ctx = PrimeCtx(p)
+    conj = random_invertible(rng, p, n)
+    perm = Mat(p, np.eye(n, dtype=np.int64)[rng.permutation(n)])
+    t = (conj @ perm @ conj.inv()).scale(int(rng.choice([1, -1])))
+    d = 1
+    while not (t ** d).is_identity():
+        d += 1
+    mats = [random_invertible(rng, p, n) for _ in range(k - 1)]
+    ulen = max(0, length // d - 1) if k > 1 else 0
+    u = tuple((int(rng.integers(0, k - 1)), int(rng.choice([1, -1]))) for _ in range(ulen))
+    mats.append(eval_word(mats, u, p, n).inv() @ t)
+    base = (u + ((k - 1, 1),)) * d
+    m = max(1, length // len(base))
+    if m % p == 0:
+        m -= 1
+    relators = []
+    for _ in range(2):
+        w = base * m
+        r = int(rng.integers(0, len(w)))
+        w = w[r:] + w[:r]
+        if rng.integers(0, 2):
+            w = winv(w)
+        x = tuple((int(rng.integers(0, k)), int(rng.choice([1, -1]))) for _ in range(int(rng.integers(0, 3))))
+        relators.append(x + w + winv(x))
+    pres = Presentation(tuple(f"g{i}" for i in range(k)), tuple(relators))
+    return Representation(ctx, pres, tuple(mats), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 32749]),
+    n=st.integers(1, 5),
+    k=st.integers(1, 3),
+    length=st.one_of(
+        st.integers(1, 40),
+        st.integers(_CHUNK - 3, _CHUNK + 3),
+        st.integers(_CHUNK + 4, 2 * _CHUNK + 5),
+    ),
+    randomize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Z/p^2 products past int64 (Python integers) over two chunks
+@example(p=32749, n=5, k=2, length=_CHUNK + 7, randomize=True, seed=1)
+def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed):
+    rng = np.random.default_rng(seed)
+    rep = random_relator_rep(rng, p, n, k, length)
+    lifts = randomized_lifts(rep, rng) if randomize else canonical_lifts(rep)
+    matrix, rhs, defects = kron_linearize(rep, lifts)
+    lin = linearize(rep, lifts)
+    for got, want in ((lin.system.matrix, matrix), (lin.system.rhs, rhs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [(d.mod, d.a.tobytes()) for d in lin.defects] == [(d.mod, d.a.tobytes()) for d in defects]
+
+
+def test_linearize_rejects_foreign_lifts():
+    rep = c2_unipotent()
+    with pytest.raises(InvalidRepresentation):
+        linearize(rep, (Mat(4, [[1, 0], [0, 1]]),))
+
+
 # --- decision procedure -------------------------------------------------------
 
 
@@ -137,6 +243,15 @@ def test_c3c3_not_liftable(c3c3_rep):
     v = check_lift(c3c3_rep)
     assert not v.liftable
     assert v.refutation_checks_out()
+
+
+def test_check_lift_long_relator_speed():
+    # <s | s^1024>: a single 1024-letter relator with a 900-column system
+    rep = jordan_companion_rep(PrimeCtx(2), 10, 30)
+    t0 = time.perf_counter()
+    v = check_lift(rep)
+    assert time.perf_counter() - t0 < 2.0
+    assert v.liftable
 
 
 def test_permutation_rep_lifts():
