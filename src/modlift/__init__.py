@@ -22,7 +22,6 @@ from .groups import (
     Subgroup,
     find_subgroup_witness,
     is_listed_family,
-    make_family,
     sylow,
     transversal,
 )
@@ -44,7 +43,6 @@ from .replift import (
 from .obstruction import (
     GroupAlgebraElement,
     ThetaClass,
-    algebra_mul,
     cyclic_witness,
     module_of_quotient,
     q_polynomial,

@@ -28,6 +28,7 @@ from .groups import (
     direct_product,
     direct_product_cyclic,
     elementary_abelian,
+    extend_hom,
     find_subgroup_witness,
     generalized_quaternion,
     is_listed_family,
@@ -131,7 +132,7 @@ def c3c3_witness_rep() -> Representation:
 
 @lru_cache(maxsize=None)
 def _bad_group_and_witness(kind: str, prime: int) -> tuple:
-    """(abstract group, witness rep, solver-certified flag) for a bad kind."""
+    """(abstract group, witness rep) for a bad kind."""
     if kind == "C2xC2":
         _, group = elementary_abelian(2, 2)
         rep = klein_witness_rep()
@@ -153,8 +154,7 @@ def _bad_group_and_witness(kind: str, prime: int) -> tuple:
         rep = module_of_quotient(group, h)
     else:
         raise ValueError(f"unknown bad-subgroup kind {kind!r}")
-    verdict = check_lift(rep)
-    return group, rep, not verdict.liftable
+    return group, rep
 
 
 def canonical_witness(kind: str, prime: int = 0) -> Representation:
@@ -162,36 +162,21 @@ def canonical_witness(kind: str, prime: int = 0) -> Representation:
     return _bad_group_and_witness(kind, prime)[1]
 
 
-def _embedding_hom(abstract: FiniteGroup, g: FiniteGroup, gens: tuple) -> list:
-    """Extend generator images to a full embedding by BFS over the table."""
-    hom = [-1] * abstract.order
-    hom[0] = 0
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for ai, bi in zip(abstract.gen_indices, gens):
-            y = abstract.mul(x, ai)
-            img = g.mul(hom[x], bi)
-            if hom[y] < 0:
-                hom[y] = img
-                queue.append(y)
-            elif hom[y] != img:
-                raise CertificationFailed("bad-subgroup generators do not satisfy the relations")
-    if len(set(hom)) != abstract.order or -1 in hom:
+def induced_witness(g: FiniteGroup, bad: BadSubgroup) -> Representation:
+    """The canonical witness of the bad subgroup, induced up to G."""
+    abstract, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
+    hom = extend_hom(abstract, bad.gens, 0, g.mul)
+    if hom is None:
+        raise CertificationFailed("bad-subgroup generators do not satisfy the relations")
+    if None in hom or len(set(hom)) != abstract.order:
         raise CertificationFailed("bad-subgroup embedding is not injective")
-    return hom
-
-
-def _induced_witness(g: FiniteGroup, bad: BadSubgroup) -> Representation:
-    abstract, rep_h, _ = _bad_group_and_witness(bad.kind, bad.prime)
-    hom = _embedding_hom(abstract, g, bad.gens)
     sub = Subgroup(g, tuple(sorted(hom)))
     return induce(rep_h, abstract, g, sub, hom)
 
 
 def witness_for_group(g: FiniteGroup, bad: BadSubgroup) -> Representation:
     """Induce the canonical witness of the bad subgroup up to G and certify it."""
-    induced = _induced_witness(g, bad)
+    induced = induced_witness(g, bad)
     if check_lift(induced).liftable:
         raise CertificationFailed(
             f"induced {bad.kind} witness lifts; solver disagrees with the classification theory"
@@ -221,10 +206,10 @@ def classify(g: FiniteGroup) -> ClassificationVerdict:
     if bad is None:
         raise CertificationFailed("order rules out liftability but no witness subgroup found")
 
-    abstract, rep_h, _ = _bad_group_and_witness(bad.kind, bad.prime)
+    _, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
     induced_dim = (g.order // len(bad.elements)) * rep_h.n
     if g.presentation is not None and induced_dim <= WITNESS_DIM_CAP:
-        witness = _induced_witness(g, bad)
+        witness = induced_witness(g, bad)
         level = "group"
     else:
         # past the cap (or without a realized presentation for G) the

@@ -24,7 +24,17 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import Error
-from .groups import FiniteGroup, Presentation, Word, make_family
+from .groups import (
+    FiniteGroup,
+    Presentation,
+    Word,
+    cyclic_group,
+    dihedral,
+    direct_product_cyclic,
+    elementary_abelian,
+    generalized_quaternion,
+    semidirect_c3_c2n,
+)
 from .obstruction import GroupAlgebraElement
 from .replift import Representation
 from .rings import Mat, PrimeCtx
@@ -185,6 +195,8 @@ def parse_group_table(text: str) -> FiniteGroup:
             raise ParseError(rowno, "table rows must be integers") from None
         if len(vals) != order:
             raise ParseError(rowno, f"expected {order} entries, got {len(vals)}")
+        if any(not 0 <= v < order for v in vals):
+            raise ParseError(rowno, f"entries must lie in [0, {order})")
         table.append(vals)
     return FiniteGroup(table)
 
@@ -206,7 +218,8 @@ def parse_algebra_element(text: str, group: FiniteGroup, mod: int) -> GroupAlgeb
             saw_elt = True
             toks = toks[1:]
         try:
-            values.extend(int(v) for v in toks)
+            # reduced as Python integers, so any size of integer is accepted
+            values.extend(int(v) % mod for v in toks)
         except ValueError:
             raise ParseError(lineno, "coefficients must be integers") from None
     if not saw_elt:
@@ -232,26 +245,23 @@ def family_from_tokens(tokens: Sequence[str]) -> tuple:
             args.append(int(t))
         except ValueError:
             raise ParseError(0, f"family parameter {t!r} is not an integer") from None
-    try:
-        if tag == "C" and len(args) == 1:
-            _, g = make_family("Cyclic", args[0])
-        elif tag == "Q" and len(args) == 1:
-            _, g = make_family("GeneralizedQuaternion", args[0])
-        elif tag == "D" and len(args) == 1:
-            _, g = make_family("Dihedral", args[0])
-        elif tag == "CxC" and len(args) == 2:
-            _, g = make_family("DirectProduct", args[0], args[1])
-        elif tag == "C3xC3" and not args:
-            _, g = make_family("ElementaryAbelian", 3, 2)
-        elif tag == "C3semi" and len(args) == 1:
-            m = args[0]
-            n = m.bit_length() - 1
-            if m < 2 or m != 1 << n:
-                raise ParseError(0, "C3semi takes a power of two")
-            _, g = make_family("SemidirectC3C2n", n)
-        else:
-            raise ParseError(0, f"unrecognized family spec {' '.join(tokens)!r}")
-    except Error:
-        raise
+    if tag == "C" and len(args) == 1:
+        _, g = cyclic_group(args[0])
+    elif tag == "Q" and len(args) == 1:
+        _, g = generalized_quaternion(args[0])
+    elif tag == "D" and len(args) == 1:
+        _, g = dihedral(args[0])
+    elif tag == "CxC" and len(args) == 2:
+        _, g = direct_product_cyclic(args[0], args[1])
+    elif tag == "C3xC3" and not args:
+        _, g = elementary_abelian(3, 2)
+    elif tag == "C3semi" and len(args) == 1:
+        m = args[0]
+        n = m.bit_length() - 1
+        if m < 2 or m != 1 << n:
+            raise ParseError(0, "C3semi takes a power of two")
+        _, g = semidirect_c3_c2n(n)
+    else:
+        raise ParseError(0, f"unrecognized family spec {' '.join(tokens)!r}")
     name = g.name or " ".join(tokens)
     return name, g

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import rings
 from .errors import Error
 
 
@@ -184,11 +185,8 @@ class FiniteGroup:
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inv_of(a), -k)
-        acc = 0
-        for _ in range(k):
-            acc = self.mul(acc, a)
-        return acc
+            a, k = self.inv_of(a), -k
+        return rings.power(a, k, 0, self.mul)
 
     def eval_word(self, word: Word, gen_elems: Sequence[int]) -> int:
         acc = 0
@@ -450,27 +448,34 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name=None) -> FiniteGroup:
     return FiniteGroup(table, pres, gens, name=name)
 
 
-_FAMILY_BUILDERS = {
-    "Cyclic": lambda n: cyclic_group(n),
-    "DirectProduct": lambda a, b: direct_product_cyclic(a, b),
-    "ElementaryAbelian": lambda p, rank: elementary_abelian(p, rank),
-    "GeneralizedQuaternion": lambda order: generalized_quaternion(order),
-    "Dihedral": lambda order: dihedral(order),
-    "SemidirectC3C2n": lambda n: semidirect_c3_c2n(n),
-}
-
-
-def make_family(tag: str, *params: int) -> tuple:
-    """Build (presentation, group) for a named family."""
-    try:
-        builder = _FAMILY_BUILDERS[tag]
-    except KeyError:
-        raise UnsupportedFamily(f"unknown family tag {tag!r}") from None
-    return builder(*params)
-
-
 # ---------------------------------------------------------------------------
-# subgroup machinery
+# homomorphisms and subgroups
+
+
+def extend_hom(g: FiniteGroup, gen_images: Sequence, one, mul) -> Optional[list]:
+    """The images of all of g's elements under the homomorphism sending
+    g's i-th realized generator to gen_images[i].
+
+    A breadth-first walk from the identity (image one) over the table; mul
+    is the target's product.  None when two paths to an element give
+    different images, i.e. when gen_images violate g's relations.
+    """
+    images: list = [None] * g.order
+    images[0] = one
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for gen, img in zip(g.gen_indices, gen_images):
+            y = g.mul(x, gen)
+            value = mul(images[x], img)
+            if images[y] is None:
+                images[y] = value
+                queue.append(y)
+            elif images[y] != value:
+                return None
+    return images
 
 
 def sylow(g: FiniteGroup, p: int) -> Subgroup:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Error
 from .groups import FiniteGroup, cyclic_group
-from .rings import Mat, PolyFp, PrimeCtx, is_prime, rref
+from .rings import Mat, PolyFp, PrimeCtx, is_prime, power, rref
 from .replift import Representation, UnrealizedPresentation, validate_rep
 
 
@@ -89,14 +89,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.group, self.mod, out)
 
     def __pow__(self, k: int) -> "GroupAlgebraElement":
-        result = GroupAlgebraElement.one(self.group, self.mod)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, GroupAlgebraElement.one(self.group, self.mod))
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -124,10 +117,6 @@ class GroupAlgebraElement:
 
     def __repr__(self) -> str:
         return f"GroupAlgebraElement(mod={self.mod}, {self.coeffs.tolist()})"
-
-
-def algebra_mul(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a * b
 
 
 def one_minus_generator(group: FiniteGroup, mod: int, gen: Optional[int] = None) -> GroupAlgebraElement:

@@ -27,6 +27,7 @@ lifts over Z/p^2, which gives E_w.  Certificates are re-checked with
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Error
-from .groups import FiniteGroup, Presentation, Subgroup, Word, transversal
+from .groups import FiniteGroup, Presentation, Subgroup, Word, extend_hom, transversal
 from .rings import (
     AffineSystem,
     Consistent,
@@ -344,24 +345,14 @@ def direct_sum(x: Representation, y: Representation) -> Representation:
 
 
 def _realize_all_elements(rep: Representation, group: FiniteGroup) -> list:
-    """Matrix for every element of the realizing group, by BFS from 1."""
+    """Matrix for every element of the realizing group."""
     if group.presentation is None or group.gen_indices is None:
         raise UnrealizedPresentation("group does not realize a presentation")
     if group.presentation != rep.presentation:
         raise UnrealizedPresentation("representation is on a different presentation")
-    mats: list = [None] * group.order
-    mats[0] = Mat.identity(rep.ctx.p, rep.n)
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for gi, gen_elem in enumerate(group.gen_indices):
-            y = group.mul(x, gen_elem)
-            m = mats[x] @ rep.gen_mats[gi]
-            if mats[y] is None:
-                mats[y] = m
-                queue.append(y)
-            elif mats[y] != m:
-                raise InvalidRepresentation("generator matrices are inconsistent on the group")
+    mats = extend_hom(group, rep.gen_mats, Mat.identity(rep.ctx.p, rep.n), operator.matmul)
+    if mats is None:
+        raise InvalidRepresentation("generator matrices are inconsistent on the group")
     return mats
 
 

@@ -9,6 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -70,6 +71,20 @@ class PrimeCtx:
 
     def __repr__(self) -> str:
         return f"PrimeCtx({self.p})"
+
+
+def power(x, k: int, one, mul=operator.mul):
+    """x**k by square-and-multiply, for k >= 0; one is the identity of mul."""
+    if k < 0:
+        raise ValueError(f"exponent must be >= 0, got {k}")
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +175,8 @@ class Mat:
         return Mat(self.mod, (self.a * (k % self.mod)) % self.mod)
 
     def __pow__(self, k: int) -> "Mat":
-        if k < 0:
-            return self.inv() ** (-k)
-        result = Mat.identity(self.mod, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
+        base = self.inv() if k < 0 else self
+        return power(base, abs(k), Mat.identity(self.mod, self.n), operator.matmul)
 
     def inv(self) -> "Mat":
         """Inverse by Gauss-Jordan elimination with unit pivots.
@@ -292,8 +299,10 @@ class AffineSystem:
     __slots__ = ("p", "matrix", "rhs", "layout")
 
     def __init__(self, p: int, matrix, rhs, layout: Optional[UnknownLayout] = None):
-        a = np.array(matrix, dtype=np.int64) % p
-        b = np.array(rhs, dtype=np.int64) % p
+        # asarray does not copy an int64 array, and % p allocates the one
+        # copy this system owns, so the caller's arrays are never written
+        a = np.asarray(matrix, dtype=np.int64) % p
+        b = np.asarray(rhs, dtype=np.int64) % p
         if a.ndim != 2:
             raise ValueError("coefficient matrix must be 2-dimensional")
         if b.shape != (a.shape[0],):
@@ -475,6 +484,28 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs)
 
 
+# coefficient arithmetic over Z shared by PolyInt and PolyFp, whose
+# constructors trim the result and (for PolyFp) reduce it mod p
+
+
+def _coeffs_add(a: tuple, b: tuple) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _coeffs_mul(a: tuple, b: tuple) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
 class PolyInt:
     """Polynomial over Z, dense coefficients lowest degree first.
 
@@ -506,13 +537,7 @@ class PolyInt:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other: "PolyInt") -> "PolyInt":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyInt(out)
+        return PolyInt(_coeffs_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "PolyInt") -> "PolyInt":
         return self + (-other)
@@ -521,24 +546,10 @@ class PolyInt:
         return PolyInt([-c for c in self.coeffs])
 
     def __mul__(self, other: "PolyInt") -> "PolyInt":
-        if self.is_zero() or other.is_zero():
-            return PolyInt()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return PolyInt(out)
+        return PolyInt(_coeffs_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, k: int) -> "PolyInt":
-        result = PolyInt.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, PolyInt.one())
 
     def divmod_exact(self, divisor: "PolyInt") -> tuple:
         """Long division by a monic divisor, exact over Z."""
@@ -608,34 +619,14 @@ class PolyFp:
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyFp(self.p, out)
+        return PolyFp(self.p, _coeffs_add(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PolyFp(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return PolyFp(self.p, out)
+        return PolyFp(self.p, _coeffs_mul(self.coeffs, other.coeffs))
 
     def __pow__(self, k: int) -> "PolyFp":
-        result = PolyFp(self.p, [1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, PolyFp(self.p, [1]))
 
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if i < len(self.coeffs) else 0

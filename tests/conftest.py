@@ -1,9 +1,14 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from modlift.classify import c3c3_witness_rep, klein_witness_rep, quaternion_witness_rep
 from modlift.cyclic_lift import jordan_companion_rep
+from modlift.groups import Presentation
 from modlift.obstruction import cyclic_witness, module_of_quotient
+from modlift.replift import InvalidRepresentation, Representation, eval_word, validate_rep
 from modlift.rings import Mat, PrimeCtx
 from modlift.errors import Error
 
@@ -59,3 +64,53 @@ def random_invertible(rng, p, n):
             return m
         except Error:
             continue
+
+
+def random_valid_instance(rng, primes, dims, gen_counts, budget, max_relators):
+    """A random valid representation small enough for the brute-force oracle.
+
+    p, n and the number of generators k are drawn from the given lists, and
+    draws whose search space p^(k n^2) exceeds budget are redrawn.  Each of
+    the 1..max_relators relators is a random word of one or two letters
+    raised to its order, at most 8 letters in all.
+    """
+    while True:
+        p = int(rng.choice(primes))
+        n = int(rng.choice(dims))
+        k = int(rng.choice(gen_counts))
+        if p ** (k * n * n) > budget:
+            continue
+        mats = tuple(random_invertible(rng, p, n) for _ in range(k))
+        rels = []
+        for _ in range(int(rng.integers(1, max_relators + 1))):
+            length = int(rng.integers(1, 3))
+            w = tuple((int(rng.integers(0, k)), int(rng.choice([1, -1]))) for _ in range(length))
+            value = eval_word(mats, w, p, n)
+            order = next((d for d in range(1, 9) if (value ** d).is_identity()), None)
+            if order is None or order * length > 8:
+                break
+            rels.append(w * order)
+        else:
+            pres = Presentation(tuple(f"g{i}" for i in range(k)), tuple(rels))
+            rep = Representation(PrimeCtx(p), pres, mats, n)
+            try:
+                validate_rep(rep)
+            except InvalidRepresentation:
+                continue
+            return rep
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds (POSIX only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlift import reproduce
 from modlift.cli import main
 from modlift.classify import klein_witness_rep
 from modlift.cyclic_lift import companion_lift, find_divisor_lift
@@ -16,7 +17,7 @@ from modlift.formats import (
     parse_group_table,
     parse_representation,
 )
-from modlift.groups import cyclic_group
+from modlift.groups import GroupAuditError, OrderTooLarge, cyclic_group
 from modlift.obstruction import GroupAlgebraElement, one_minus_generator
 from modlift.rings import PrimeCtx
 
@@ -152,24 +153,90 @@ def test_cli_check_rejects_bad_header(tmp_path, capsys, header, message):
     assert message in err
 
 
+def _token_lines(tokens, max_lines):
+    """Texts of up to max_lines lines, each of up to 5 of the given tokens."""
+    return st.lists(st.lists(st.sampled_from(tokens), max_size=5), max_size=max_lines).map(
+        lambda lines: "\n".join(" ".join(toks) for toks in lines)
+    )
+
+
 _FUZZ_TOKENS = ["p", "n", "gens", "rel", "mat", "#", "0", "1", "2", "3", "-1", "32749",
                 "x", "s", "t", "s^-1", "^-1", "2.5", "9" * 40]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), _token_lines(_FUZZ_TOKENS, 12)))
+def test_parse_representation_fuzz(text):
+    try:
+        parse_representation(text)
+    except ParseError:
+        pass
+
+
+_TABLE_TOKENS = ["order", "#", "0", "1", "2", "3", "-1", "x", "2.5", str(2 ** 63), "9" * 40]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
         st.text(max_size=80),
-        st.lists(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=5), max_size=12).map(
-            lambda lines: "\n".join(" ".join(toks) for toks in lines)
+        _token_lines(_TABLE_TOKENS, 6),
+        # well-formed headers over random rows reach the range check and the audit
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.one_of(st.integers(-1, n), st.integers()), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ).map(lambda rows: f"order {n}\n" + "\n".join(" ".join(map(str, r)) for r in rows))
         ),
     )
 )
-def test_parse_representation_fuzz(text):
+def test_parse_group_table_fuzz(text):
     try:
-        parse_representation(text)
+        parse_group_table(text)
+    except (ParseError, GroupAuditError, OrderTooLarge):
+        pass
+
+
+_ELT_TOKENS = ["elt", "#", "0", "1", "2", "-1", "x", "2.5", str(2 ** 63), "-" + "9" * 40]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=60),
+        _token_lines(_ELT_TOKENS, 4),
+        st.lists(st.integers(), min_size=2, max_size=4).map(
+            lambda coeffs: "elt " + " ".join(map(str, coeffs))
+        ),
+    )
+)
+def test_parse_algebra_element_fuzz(text):
+    _, g = cyclic_group(3)
+    try:
+        parse_algebra_element(text, g, 3)
     except ParseError:
         pass
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--table", "{table}"], "line 3: entries must lie in [0, 2)"),
+        (["theta", "C 9", "{elt}", "{elt}", "-p", "99999999999999999999"], "p must be a prime"),
+        (["theta", "C 9", "{elt}", "{elt}", "-p", "0"], "p must be a prime"),
+    ],
+)
+def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, argv, message):
+    table = tmp_path / "huge.tbl"
+    table.write_text(f"order 2\n0 1\n1 {2 ** 63}\n")
+    elt = tmp_path / "one.elt"
+    elt.write_text("elt 1 0 0 0 0 0 0 0 0\n")
+    rc = main([arg.format(table=table, elt=elt) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: " + message)
 
 
 def test_cli_check_json(tmp_path, capsys):
@@ -234,6 +301,11 @@ def test_cli_theta(tmp_path, capsys):
     assert rc == 0
     assert "THETA: NONZERO" in out
 
+    # coefficients past int64 are reduced mod p, to the same element
+    f_path.write_text("elt " + " ".join(str(int(c) + 3 * 2 ** 64) for c in (s ** 4).coeffs))
+    assert main(["theta", "C 9", str(f_path), str(h_path), "-p", "3"]) == 0
+    assert capsys.readouterr().out == out
+
     z_path = tmp_path / "z.elt"
     z_path.write_text(format_algebra_element(GroupAlgebraElement.zero(g, 3)))
     rc = main(["theta", "C 9", str(z_path), str(h_path), "-p", "3"])
@@ -249,26 +321,47 @@ def test_cli_theta_product_not_zero(tmp_path, capsys):
     assert rc == 2
 
 
+_REGISTRY_ORDER = [
+    "kernel-structure", "matrix-facts", "klein-not-2-liftable", "q8-not-2-liftable",
+    "c3c3-not-3-liftable", "theta-c9", "theta-c5", "theta-c7", "theta-vanishing",
+    "divisor-lifts-p2", "divisor-lifts-p3", "jordan-gap-sets", "direct-sum-law",
+    "induction-klein", "induction-q8", "sylow-machinery", "catalog-verdicts",
+    "catalog-certification",
+]
+
+
 def test_cli_reproduce_json(capsys):
     rc = main(["reproduce", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    names = {item["item"] for item in payload["items"]}
-    assert "klein-not-2-liftable" in names
-    assert "catalog-verdicts" in names
-    by_name = {item["item"]: item["status"] for item in payload["items"]}
-    assert by_name["klein-not-2-liftable"] == "PASS"
-    assert by_name["divisor-lifts-p2"] == "PASS"
-    assert by_name["catalog-verdicts"] == "PASS"
+    assert sorted(payload) == ["command", "items", "status"]
+    assert [item["item"] for item in payload["items"]] == _REGISTRY_ORDER
+    assert all(sorted(item) == ["detail", "item", "status"] for item in payload["items"])
+    failed = {item["item"] for item in payload["items"] if item["status"] == "FAIL"}
     # known red rows (see project notes): the Q8 items fail honestly
-    assert by_name["q8-not-2-liftable"] == "FAIL"
+    assert failed == {"q8-not-2-liftable", "induction-q8", "catalog-certification"}
+    assert payload["status"] == "FAIL"
     assert rc == 1
 
 
-def test_cli_reproduce_corrupt_flag(capsys):
-    rc = main(["reproduce", "--corrupt", "--json"])
+def test_cli_reproduce_reports_failures(monkeypatch, capsys):
+    registry = {name: (lambda: (True, "stub")) for name in reproduce.REGISTRY}
+    monkeypatch.setattr(reproduce, "REGISTRY", registry)
+    assert main(["reproduce"]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+
+    def crash():
+        raise RuntimeError("boom")
+
+    registry["klein-not-2-liftable"] = lambda: (False, "forced failure")
+    registry["theta-c9"] = crash
+    rc = main(["reproduce", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    by_name = {item["item"]: item["status"] for item in payload["items"]}
-    assert by_name["klein-not-2-liftable"] == "FAIL"
+    rows = {item["item"]: (item["status"], item["detail"]) for item in payload["items"]}
+    assert [item["item"] for item in payload["items"]] == _REGISTRY_ORDER
+    assert rows["klein-not-2-liftable"] == ("FAIL", "forced failure")
+    assert rows["theta-c9"] == ("FAIL", "exception: boom")
+    assert sum(status == "FAIL" for status, _ in rows.values()) == 2
+    assert payload["status"] == "FAIL"
     assert rc == 1
 
 

@@ -14,10 +14,10 @@ from modlift.groups import (
     direct_product,
     direct_product_cyclic,
     elementary_abelian,
+    extend_hom,
     find_subgroup_witness,
     generalized_quaternion,
     is_listed_family,
-    make_family,
     perm_group,
     semidirect_c3_c2n,
     sylow,
@@ -30,7 +30,7 @@ from modlift.groups import (
 
 
 def test_cyclic_family():
-    pres, g = make_family("Cyclic", 4)
+    pres, g = cyclic_group(4)
     assert g.order == 4
     assert pres.num_gens == 1
     assert pres.relators == (((0, 1),) * 4,)
@@ -38,7 +38,7 @@ def test_cyclic_family():
 
 
 def test_quaternion_family_relators():
-    pres, g = make_family("GeneralizedQuaternion", 8)
+    pres, g = generalized_quaternion(8)
     assert g.order == 8
     s, t = 0, 1
     expected = (
@@ -53,7 +53,7 @@ def test_quaternion_family_relators():
 
 
 def test_semidirect_family():
-    _, g = make_family("SemidirectC3C2n", 1)
+    _, g = semidirect_c3_c2n(1)
     assert g.order == 6
     assert not g.is_abelian()
 
@@ -67,8 +67,6 @@ def test_dihedral_family():
 
 
 def test_family_errors():
-    with pytest.raises(UnsupportedFamily):
-        make_family("Frobenius", 20)
     with pytest.raises(UnsupportedFamily):
         generalized_quaternion(12)
     with pytest.raises(OrderTooLarge):
@@ -248,6 +246,24 @@ def test_large_group_sampled_audit():
     assert g.order == 1024
     assert g.order_of(1) == 1024
     assert is_listed_family(g) == "C2n"
+
+
+def test_group_power():
+    _, g = generalized_quaternion(16)
+    for x in range(g.order):
+        acc = 0
+        for k in range(9):
+            assert g.power(x, k) == acc
+            assert g.power(x, -k) == g.inv_of(acc)
+            acc = g.mul(acc, x)
+
+
+def test_extend_hom():
+    _, c4 = cyclic_group(4)
+    _, c8 = cyclic_group(8)
+    assert extend_hom(c4, (2,), 0, c8.mul) == [0, 2, 4, 6]
+    # 1 has order 8 in C8, so s -> 1 breaks the relator s^4
+    assert extend_hom(c4, (1,), 0, c8.mul) is None
 
 
 def test_word_utilities():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from modlift.groups import cyclic_group, elementary_abelian
 from modlift.obstruction import (
     GroupAlgebraElement,
     OutOfRange,
     ProductNotZero,
     ZeroElement,
-    algebra_mul,
     cyclic_witness,
     module_of_quotient,
     one_minus_generator,
@@ -21,7 +21,14 @@ from modlift.rings import Mat, PolyFp, PrimeCtx, binom_div_p
 def test_algebra_identity():
     _, g = cyclic_group(5)
     a = GroupAlgebraElement(g, 5, [1, 2, 3, 4, 0])
-    assert algebra_mul(GroupAlgebraElement.one(g, 5), a) == a
+    assert GroupAlgebraElement.one(g, 5) * a == a
+
+
+def test_algebra_power():
+    s = one_minus_generator(cyclic_group(9)[1], 3)
+    assert s ** 3 == s * s * s
+    with time_limit(2), pytest.raises(ValueError):
+        s ** -1
 
 
 def test_algebra_nilpotence_mod_3():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_invertible
+from conftest import random_invertible, random_valid_instance
 from modlift.groups import (
     Presentation,
     Subgroup,
@@ -448,44 +448,11 @@ def test_brute_force_finds_negative():
 
 
 def test_oracle_agreement_random(rng):
-    checked = 0
-    while checked < 60:
-        p = int(rng.choice([2, 3]))
-        ctx = PrimeCtx(p)
-        n = int(rng.choice([1, 2]))
-        k = int(rng.choice([1, 2]))
-        if p ** (k * n * n) > 2 ** 12:
-            continue
-        mats = tuple(random_invertible(rng, p, n) for _ in range(k))
-        rels = []
-        ok = True
-        for _ in range(int(rng.integers(1, 3))):
-            L = int(rng.integers(1, 3))
-            w = tuple((int(rng.integers(0, k)), int(rng.choice([1, -1]))) for _ in range(L))
-            acc = Mat.identity(p, n)
-            for g, e in w:
-                acc = acc @ (mats[g] if e == 1 else mats[g].inv())
-            d = None
-            power = acc
-            for cand in range(1, 9):
-                if power.is_identity():
-                    d = cand
-                    break
-                power = power @ acc
-            if d is None or d * L > 8:
-                ok = False
-                break
-            rels.append(w * d)
-        if not ok:
-            continue
-        pres = Presentation(tuple(f"g{i}" for i in range(k)), tuple(rels))
-        rep = Representation(ctx, pres, mats, n)
-        try:
-            validate_rep(rep)
-        except InvalidRepresentation:
-            continue
+    for _ in range(60):
+        rep = random_valid_instance(
+            rng, primes=[2, 3], dims=[1, 2], gen_counts=[1, 2], budget=2 ** 12, max_relators=2
+        )
         assert check_lift(rep).liftable == brute_force_lift(rep, budget=2 ** 12).liftable
-        checked += 1
 
 
 def test_linearize_dimension_guard():

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import time_limit
 from modlift.rings import (
     AffineSystem,
     Consistent,
@@ -17,6 +20,7 @@ from modlift.rings import (
     binom_div_p,
     is_prime,
     merge_kernel_element,
+    power,
     solve_affine,
     split_kernel_element,
 )
@@ -281,3 +285,41 @@ def test_solve_agreement_wider_systems(rng):
             assert count == p ** len(res.nullspace)
         else:
             assert count == 0
+
+
+def test_power_matches_repeated_products():
+    m = Mat(5, [[1, 2], [3, 4]])
+    acc = Mat.identity(5, 2)
+    for k in range(10):
+        assert m ** k == acc
+        assert m ** -k == m.inv() ** k
+        acc = acc @ m
+    assert PolyInt([1, 1]) ** 5 == PolyInt([1, 5, 10, 10, 5, 1])
+    assert power(3, 13, 1) == 3 ** 13
+    with pytest.raises(ValueError):
+        power(3, -1, 1)
+
+
+@pytest.mark.parametrize("base", [PolyInt([1, 1]), PolyFp(3, [1, 1])])
+@pytest.mark.parametrize("k", [-1, -2])
+def test_polynomial_negative_power_raises(base, k):
+    with time_limit(2), pytest.raises(ValueError):
+        base ** k
+
+
+def test_affine_system_copies_matrix_once():
+    p = 7
+    a = np.arange(600 * 500, dtype=np.int64).reshape(600, 500) % 11
+    b = np.arange(600, dtype=np.int64) % 11
+    a_before, b_before = a.copy(), b.copy()
+    tracemalloc.start()
+    try:
+        system = AffineSystem(p, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes
+    assert a.flags.writeable and b.flags.writeable
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+    assert np.array_equal(system.matrix, a_before % p)
+    assert np.array_equal(system.rhs, b_before % p)
