@@ -12,6 +12,7 @@ from .rings import (
     UnknownLayout,
     binom_div_p,
     merge_kernel_element,
+    nullspace,
     solve_affine,
     split_kernel_element,
 )

@@ -209,6 +209,8 @@ def format_group_table(g: FiniteGroup) -> str:
 
 
 def parse_algebra_element(text: str, group: FiniteGroup, mod: int) -> GroupAlgebraElement:
+    if mod < 2:
+        raise ValueError("modulus must be >= 2")
     values = []
     saw_elt = False
     for lineno, toks in _logical_lines(text):

@@ -248,13 +248,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
-
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
-
 
 # ---------------------------------------------------------------------------
 # families

@@ -39,6 +39,8 @@ class GroupAlgebraElement:
     __slots__ = ("group", "mod", "coeffs")
 
     def __init__(self, group: FiniteGroup, mod: int, coeffs):
+        if mod < 2:
+            raise ValueError("modulus must be >= 2")
         c = np.array(coeffs, dtype=np.int64) % mod
         if c.shape != (group.order,):
             raise ValueError(f"need {group.order} coefficients, got {c.shape}")

@@ -21,8 +21,9 @@ float64 matrix product per generator.  The letters go in chunks of _CHUNK
 and the sums are reduced mod p after each chunk, so no sum exceeds
 _CHUNK * (p-1)^2 < 2^53 and float64 is exact for every admitted prime: there
 is no second, integer path.  The same walk evaluates the relator at the
-lifts over Z/p^2, which gives E_w.  Certificates are re-checked with
-`eval_word`, which shares no code with that walk.
+lifts over Z/p^2, which gives E_w and rejects a relator that fails mod p,
+so it is the one relator walk of `check_lift`.  Certificates are re-checked
+with `eval_word`, which shares no code with that walk.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .rings import (
     AffineSystem,
     Consistent,
     Mat,
+    NotInKernel,
     PrimeCtx,
     Singular,
     UnknownLayout,
@@ -70,7 +72,7 @@ DEFAULT_BRUTE_BUDGET = 1 << 20
 
 # dense elimination stays fast only at desk scale
 MAX_DIMENSION = 64
-MAX_SYSTEM_ROWS = 1 << 16
+MAX_SYSTEM_BYTES = 1 << 30  # per int64 copy of the lift system; a check peaks at two
 
 
 @dataclass(frozen=True)
@@ -145,18 +147,26 @@ def eval_word(mats: Sequence[Mat], word: Word, mod: int, n: int) -> Mat:
     return acc
 
 
+def _generator_inverses(rep: Representation) -> list:
+    """Each generator's inverse; raise on the first singular generator."""
+    invs = []
+    for name, m in zip(rep.presentation.names, rep.gen_mats):
+        try:
+            invs.append(m.inv())
+        except Singular:
+            raise InvalidRepresentation(f"generator {name!r} is not invertible over F_{rep.ctx.p}") from None
+    return invs
+
+
+_BROKEN_RELATOR = "relator #{} does not evaluate to the identity"
+
+
 def validate_rep(rep: Representation) -> None:
     """Check invertibility and all relators; raise on the first violation."""
-    for i, m in enumerate(rep.gen_mats):
-        try:
-            m.inv()
-        except Singular:
-            raise InvalidRepresentation(
-                f"generator {rep.presentation.names[i]!r} is not invertible over F_{rep.ctx.p}"
-            ) from None
+    _generator_inverses(rep)
     for i, w in enumerate(rep.presentation.relators):
         if not eval_word(rep.gen_mats, w, rep.ctx.p, rep.n).is_identity():
-            raise InvalidRepresentation(f"relator #{i} does not evaluate to the identity")
+            raise InvalidRepresentation(_BROKEN_RELATOR.format(i))
 
 
 def canonical_lifts(rep: Representation) -> tuple:
@@ -250,7 +260,9 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     float64 over chunks of _CHUNK letters and reduced mod p after each, so
     its sums stay below _CHUNK * (p-1)^2 < 2^53, where float64 is exact for
     every prime up to PRIME_CAP; no integer fallback is needed.  The same
-    walk gives each relator's defect E_w.
+    walk gives each relator's defect E_w.  A singular generator, a relator
+    that fails mod p (both with `validate_rep`'s messages) and, before any
+    allocation, a system over MAX_SYSTEM_BYTES raise InvalidRepresentation.
     """
     p, p2 = rep.ctx.p, rep.ctx.p2
     n = rep.n
@@ -258,28 +270,29 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     relators = rep.presentation.relators
     if n > MAX_DIMENSION:
         raise InvalidRepresentation(f"dimension {n} exceeds the cap {MAX_DIMENSION}")
-    if len(relators) * n * n > MAX_SYSTEM_ROWS:
-        raise InvalidRepresentation(
-            f"lift system would exceed {MAX_SYSTEM_ROWS} rows"
-        )
+    rows, cols = len(relators) * n * n, k * n * n
+    if rows * cols * 8 > MAX_SYSTEM_BYTES:
+        raise InvalidRepresentation(f"lift system {rows}x{cols} exceeds the {MAX_SYSTEM_BYTES}-byte budget")
     if naive_lifts is None:
         naive_lifts = canonical_lifts(rep)
     _check_naive_lifts(rep, naive_lifts)
     gens = [m.a for m in rep.gen_mats]
-    gen_invs = [m.inv().a for m in rep.gen_mats]
+    gen_invs = [m.a for m in _generator_inverses(rep)]
     lifts = [m.a for m in naive_lifts]
     inverted = {g for word in relators for g, e in word if e == -1}
     lift_invs = {g: naive_lifts[g].inv().a for g in inverted}
-    rows = len(relators) * n * n
     matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.int64)
     rhs = np.zeros((len(relators), n, n), dtype=np.int64)
     defects = []
-    for block, b, word in zip(matrix, rhs, relators):
+    for i, (block, b, word) in enumerate(zip(matrix, rhs, relators)):
         value = _linearize_relator(block, word, gens, gen_invs, lifts, lift_invs, p, p2)
-        defect = split_kernel_element(Mat(p2, value), p)
+        try:
+            defect = split_kernel_element(Mat(p2, value), p)
+        except NotInKernel:
+            raise InvalidRepresentation(_BROKEN_RELATOR.format(i)) from None
         b[...] = (-defect.a) % p
         defects.append(defect)
-    system = AffineSystem(p, matrix.reshape(rows, k * n * n), rhs.reshape(rows), UnknownLayout(k, n))
+    system = AffineSystem(p, matrix.reshape(rows, cols), rhs.reshape(rows), UnknownLayout(k, n))
     return LinearizedSystem(system=system, defects=tuple(defects), lifts=tuple(naive_lifts))
 
 
@@ -308,8 +321,8 @@ def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
 
 
 def check_lift(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) -> LiftVerdict:
-    """The decision procedure: solve the linearized system and certify."""
-    validate_rep(rep)
+    """The decision procedure: linearize (which also validates), solve, and
+    check the verdict once, exactly and independently of the solver."""
     lin = linearize(rep, naive_lifts)
     result = solve_affine(lin.system)
     if isinstance(result, Consistent):

@@ -59,12 +59,12 @@ from .replift import (
     verify_certificate,
 )
 from .rings import (
-    AffineSystem,
     Consistent,
     Mat,
     PolyInt,
     PrimeCtx,
     binom_div_p,
+    nullspace,
     solve_affine,
     split_kernel_element,
 )
@@ -112,11 +112,12 @@ def _klein() -> Result:
     s = Mat(2, [[1, 1], [0, 1]])
     small = Representation(PrimeCtx(2), pres_c2, (s,), 2)
     # expect solutions with a21 = 0 and a11 + a22 = 1
-    res = solve_affine(linearize(small).system)
-    if not isinstance(res, Consistent):
-        return False, "C2 unipotent system unexpectedly inconsistent"
+    system = linearize(small).system
+    res = solve_affine(system)
+    if not isinstance(res, Consistent) or not system.is_solution(res.particular):
+        return False, "C2 unipotent system has no verified solution"
     for vec in [res.particular] + [
-        (res.particular + t) % 2 for t in res.nullspace
+        (res.particular + t) % 2 for t in nullspace(system.matrix, 2)
     ]:
         a11, _, a21, a22 = int(vec[0]), int(vec[1]), int(vec[2]), int(vec[3])
         if a21 != 0 or (a11 + a22) % 2 != 1:
@@ -193,8 +194,7 @@ def _theta_vanishing() -> Result:
             for x in range(order):
                 col = (f * GroupAlgebraElement.basis(g, p, x)).coeffs
                 lm[:, x] = col
-            res = solve_affine(AffineSystem(p, lm, np.zeros(order, dtype=np.int64)))
-            for vec in res.nullspace[:4]:
+            for vec in nullspace(lm, p)[:4]:
                 h = GroupAlgebraElement(g, p, vec)
                 if h.is_zero():
                     continue
@@ -329,6 +329,9 @@ def _catalog_verdicts() -> Result:
     too_big = [e.name for e, _ in pairs if e.group.order > 32]
     if too_big:
         return False, "catalog entries above order 32: " + ", ".join(too_big)
+    missing = {"C24", "A4", "C27", "Q8", "C2xC2", "C3xC3", "S3"} - {e.name for e, _ in pairs}
+    if missing:
+        return False, "catalog lacks " + ", ".join(sorted(missing))
     bad = []
     for e, v in pairs:
         ok = v.liftable == e.expect_liftable and (
@@ -338,7 +341,10 @@ def _catalog_verdicts() -> Result:
             bad.append(e.name)
     if bad:
         return False, "verdict mismatches: " + ", ".join(bad)
-    family = [e.name for e, v in pairs if (is_listed_family(e.group) is not None) != v.liftable]
+    # the listed family is the verdict's tag; C1 is tagged Trivial but listed as C2n
+    family = [
+        e.name for e, v in pairs if is_listed_family(e.group) != (v.tag if e.group.order > 1 else "C2n")
+    ]
     if family:
         return False, "listed-family test disagrees with the verdict for: " + ", ".join(family)
     return True, f"all {len(pairs)} catalog verdicts match the classification"

@@ -204,9 +204,6 @@ class Mat:
                     work[i] = (work[i] - work[i, j] * work[j]) % m
         return Mat(m, work[:, n:])
 
-    def trace(self) -> int:
-        return int(np.trace(self.a) % self.mod)
-
     def reduce(self, newmod: int) -> "Mat":
         if self.mod % newmod:
             raise ValueError(f"{newmod} does not divide {self.mod}")
@@ -324,12 +321,8 @@ class AffineSystem:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def residual(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        return (self.matrix @ x - self.rhs) % self.p
-
     def is_solution(self, x) -> bool:
-        return not self.residual(x).any()
+        return not ((self.matrix @ np.asarray(x, dtype=np.int64) - self.rhs) % self.p).any()
 
     def checks_refutation(self, c) -> bool:
         """c is a valid refutation iff c.A = 0 and c.b != 0."""
@@ -342,7 +335,6 @@ class AffineSystem:
 @dataclass(frozen=True)
 class Consistent:
     particular: np.ndarray
-    nullspace: tuple
 
 
 @dataclass(frozen=True)
@@ -398,10 +390,24 @@ def rref(matrix: np.ndarray, p: int) -> tuple:
     return work[: len(pivots)], pivots
 
 
-def _solve_particular(matrix: np.ndarray, rhs: np.ndarray, p: int):
-    """Particular solution with free unknowns set to zero, or None."""
-    rows, cols = matrix.shape
-    work = np.concatenate([matrix % p, (rhs % p).reshape(rows, 1)], axis=1)
+def nullspace(matrix: np.ndarray, p: int) -> tuple:
+    """Basis of {x : A x = 0} over F_p: for each free column f in order, the
+    vector with 1 at f and -R[r, f] at pivot column r of the rref R."""
+    reduced, pivots = rref(matrix, p)
+    basis = []
+    for f in sorted(set(range(reduced.shape[1])) - set(pivots)):
+        v = np.zeros(reduced.shape[1], dtype=np.int64)
+        v[f] = 1
+        v[pivots] = (-reduced[:, f]) % p
+        v.flags.writeable = False
+        basis.append(v)
+    return tuple(basis)
+
+
+def _solve_augmented(work: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """Solve [M | v] with free unknowns 0, or None if inconsistent; work
+    (entries in [0, p)) is eliminated in place, then back-substituted."""
+    cols = work.shape[1] - 1
     pivots = _forward_eliminate(work, p, cols)
     rank = len(pivots)
     if work[rank:, cols].any():
@@ -417,46 +423,30 @@ def _solve_particular(matrix: np.ndarray, rhs: np.ndarray, p: int):
 def solve_affine(sys: AffineSystem) -> SolveResult:
     """Decide A x = b over F_p with a checkable certificate either way.
 
-    Consistent:   a particular solution (free unknowns zero) plus a basis of
-                  the homogeneous nullspace.
-    Inconsistent: a functional c with c.A = 0 and c.b != 0, found by solving
-                  the transposed system [A^T; b^T] y = e_last.  Its existence
-                  is equivalent to inconsistency, so this branch always
-                  produces a certificate.
+    Consistent:   a particular solution, free unknowns zero.
+    Inconsistent: a functional c with c.A = 0 and c.b != 0, the solution of
+                  the dual system [A^T 0; b^T 1], built once the primal
+                  array is freed.  Such c exists iff A x = b has no solution.
+
+    The certificate is not checked here; `check_lift` checks it once.
     """
     p = sys.p
     rows, cols = sys.rows, sys.cols
     work = np.concatenate([sys.matrix, sys.rhs.reshape(rows, 1)], axis=1)
-    pivots = _forward_eliminate(work, p, cols)
-    rank = len(pivots)
-    if work[rank:, cols].any():
-        dual = np.concatenate([sys.matrix.T, sys.rhs.reshape(1, rows)], axis=0)
-        target = np.zeros(cols + 1, dtype=np.int64)
-        target[cols] = 1
-        c = _solve_particular(dual, target, p)
-        if c is None or not sys.checks_refutation(c):
-            raise AssertionError("internal error: failed to certify inconsistency")
-        c.flags.writeable = False
-        return Inconsistent(functional=c)
-
-    _back_eliminate(work, p, pivots)
-    particular = np.zeros(cols, dtype=np.int64)
-    for r, j in enumerate(pivots):
-        particular[j] = work[r, cols]
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(cols) if j not in pivot_set]
-    nullspace = []
-    for f in free_cols:
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for r, j in enumerate(pivots):
-            v[j] = (-work[r, f]) % p
-        v.flags.writeable = False
-        nullspace.append(v)
-    if not sys.is_solution(particular):
-        raise AssertionError("internal error: particular solution does not verify")
-    particular.flags.writeable = False
-    return Consistent(particular=particular, nullspace=tuple(nullspace))
+    x = _solve_augmented(work, p)
+    del work
+    if x is not None:
+        x.flags.writeable = False
+        return Consistent(particular=x)
+    dual = np.zeros((cols + 1, rows + 1), dtype=np.int64)
+    dual[:cols, :rows] = sys.matrix.T
+    dual[cols, :rows] = sys.rhs
+    dual[cols, rows] = 1
+    c = _solve_augmented(dual, p)
+    if c is None:
+        raise AssertionError("internal error: failed to certify inconsistency")
+    c.flags.writeable = False
+    return Inconsistent(functional=c)
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +556,8 @@ class PolyInt:
                     rem[i + j] -= q * c
         return PolyInt(quo), PolyInt(rem[:d])
 
-    def divides(self, other: "PolyInt") -> bool:
-        _, r = other.divmod_exact(self)
-        return r.is_zero()
-
     def reduce(self, p: int) -> "PolyFp":
         return PolyFp(p, self.coeffs)
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_mat(self, m: Mat) -> Mat:
         """Horner evaluation at a square matrix over its own ring."""

@@ -100,6 +100,18 @@ def random_valid_instance(rng, primes, dims, gen_counts, budget, max_relators):
             return rep
 
 
+def over_budget_rep():
+    """Identity generators s, t of dimension 64 under 16 relators.
+
+    Every relator holds, and the lift system would be 65536 x 8192 int64
+    entries, 4.3 GB per copy: past the byte budget, though not past the
+    dimension cap.
+    """
+    pres = Presentation(("s", "t"), tuple(((i % 2, 1),) * (i + 2) for i in range(16)))
+    eye = Mat.identity(2, 64)
+    return Representation(PrimeCtx(2), pres, (eye, eye), 64)
+
+
 @contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block once it has run for seconds (POSIX only)."""

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import over_budget_rep
 from modlift import reproduce
 from modlift.cli import main
 from modlift.classify import klein_witness_rep
@@ -74,6 +76,15 @@ def test_algebra_element_round_trip():
     elt = one_minus_generator(g, 3) ** 4
     text = format_algebra_element(elt)
     assert parse_algebra_element(text, g, 3) == elt
+
+
+@pytest.mark.parametrize("mod", [0, 1, -3])
+def test_algebra_element_rejects_bad_modulus(mod):
+    _, g = cyclic_group(3)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        parse_algebra_element("elt 1 0 0\n", g, mod)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        GroupAlgebraElement(g, mod, [1, 0, 0])
 
 
 def test_family_specs():
@@ -237,6 +248,42 @@ def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p 2\nn 2\ngens 1 s\nrel s s\nmat s\n1 1\n1 1\n",
+         "generator 's' is not invertible over F_2"),
+        ("p 2\nn 2\ngens 1 s\nrel s s\nrel s s s\nmat s\n1 1\n0 1\n",
+         "relator #1 does not evaluate to the identity"),
+    ],
+    ids=["singular-generator", "broken-relator"],
+)
+def test_cli_check_rejects_invalid_representation(tmp_path, capsys, text, message):
+    path = tmp_path / "invalid.rep"
+    path.write_text(text)
+    rc = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_cli_check_over_byte_budget(tmp_path, capsys):
+    path = tmp_path / "big.rep"
+    path.write_text(format_representation(over_budget_rep()))
+    tracemalloc.start()
+    try:
+        rc = main(["check", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "byte budget" in err
+    assert peak < 4 << 20
 
 
 def test_cli_check_json(tmp_path, capsys):

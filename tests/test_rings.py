@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import time_limit
+from modlift.classify import induced_witness
+from modlift.groups import dihedral, find_subgroup_witness
+from modlift.replift import linearize
 from modlift.rings import (
     AffineSystem,
     Consistent,
@@ -20,6 +23,7 @@ from modlift.rings import (
     binom_div_p,
     is_prime,
     merge_kernel_element,
+    nullspace,
     power,
     solve_affine,
     split_kernel_element,
@@ -126,18 +130,21 @@ def test_split_merge_round_trip(p, data):
 
 
 def test_solve_identity_system():
-    res = solve_affine(AffineSystem(2, [[1, 0], [0, 1]], [1, 0]))
+    sys = AffineSystem(2, [[1, 0], [0, 1]], [1, 0])
+    res = solve_affine(sys)
     assert isinstance(res, Consistent)
     assert list(res.particular) == [1, 0]
-    assert res.nullspace == ()
+    assert nullspace(sys.matrix, 2) == ()
 
 
 def test_solve_underdetermined():
-    res = solve_affine(AffineSystem(2, [[1, 1]], [1]))
+    sys = AffineSystem(2, [[1, 1]], [1])
+    res = solve_affine(sys)
     assert isinstance(res, Consistent)
     assert list(res.particular) == [1, 0]
-    assert len(res.nullspace) == 1
-    assert list(res.nullspace[0]) == [1, 1]
+    basis = nullspace(sys.matrix, 2)
+    assert len(basis) == 1
+    assert list(basis[0]) == [1, 1]
 
 
 def test_solve_inconsistent():
@@ -149,9 +156,10 @@ def test_solve_inconsistent():
 
 
 def test_solve_empty_rows():
-    res = solve_affine(AffineSystem(3, np.zeros((0, 2), dtype=int), []))
+    sys = AffineSystem(3, np.zeros((0, 2), dtype=int), [])
+    res = solve_affine(sys)
     assert isinstance(res, Consistent)
-    assert len(res.nullspace) == 2
+    assert len(nullspace(sys.matrix, 3)) == 2
 
 
 def _enumerate_solutions(sys):
@@ -174,12 +182,150 @@ def test_solve_agrees_with_enumeration(rng):
         n_solutions = _enumerate_solutions(sys)
         if isinstance(res, Consistent):
             assert sys.is_solution(res.particular)
-            for v in res.nullspace:
+            basis = nullspace(sys.matrix, p)
+            for v in basis:
                 assert not ((sys.matrix @ v) % p).any()
-            assert n_solutions == p ** len(res.nullspace)
+            assert n_solutions == p ** len(basis)
         else:
             assert n_solutions == 0
             assert sys.checks_refutation(res.functional)
+
+
+def reference_solve_affine(sys):
+    """The solver this package shipped before it had one elimination routine.
+
+    Full RREF of [A | b] and a nullspace basis when consistent; otherwise a
+    second elimination of the transposed system [A^T; b^T] y = e_last.  Kept
+    self-contained, with its own elimination, so that a new kernel is
+    compared against code it does not share.  Returns (particular,
+    nullspace) or (None, functional).
+    """
+    p = sys.p
+
+    def forward(work, pivot_cols):
+        pivots, r = [], 0
+        for j in range(pivot_cols):
+            if r == work.shape[0]:
+                break
+            nz = np.flatnonzero(work[r:, j])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                work[[r, i]] = work[[i, r]]
+            piv = int(work[r, j])
+            if piv != 1:
+                work[r, j:] = (work[r, j:] * pow(piv, -1, p)) % p
+            below = r + 1 + np.flatnonzero(work[r + 1 :, j])
+            work[below, j:] = (work[below, j:] - np.outer(work[below, j], work[r, j:])) % p
+            pivots.append(j)
+            r += 1
+        return pivots
+
+    def particular(matrix, rhs):
+        rows, cols = matrix.shape
+        work = np.concatenate([matrix % p, (rhs % p).reshape(rows, 1)], axis=1)
+        pivots = forward(work, cols)
+        if work[len(pivots) :, cols].any():
+            return None
+        x = np.zeros(cols, dtype=np.int64)
+        for r in range(len(pivots) - 1, -1, -1):
+            j = pivots[r]
+            x[j] = (int(work[r, cols]) - int(work[r, j + 1 : cols] @ x[j + 1 :])) % p
+        return x
+
+    rows, cols = sys.rows, sys.cols
+    work = np.concatenate([sys.matrix, sys.rhs.reshape(rows, 1)], axis=1)
+    pivots = forward(work, cols)
+    rank = len(pivots)
+    if work[rank:, cols].any():
+        dual = np.concatenate([sys.matrix.T, sys.rhs.reshape(1, rows)], axis=0)
+        target = np.zeros(cols + 1, dtype=np.int64)
+        target[cols] = 1
+        c = particular(dual, target)
+        assert c is not None and sys.checks_refutation(c)
+        return None, c
+    for r in range(rank - 1, -1, -1):
+        j = pivots[r]
+        above = np.flatnonzero(work[:r, j])
+        work[above, j:] = (work[above, j:] - np.outer(work[above, j], work[r, j:])) % p
+    x = np.zeros(cols, dtype=np.int64)
+    for r, j in enumerate(pivots):
+        x[j] = work[r, cols]
+    assert sys.is_solution(x)
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = np.zeros(cols, dtype=np.int64)
+        v[f] = 1
+        for r, j in enumerate(pivots):
+            v[j] = (-work[r, f]) % p
+        basis.append(v)
+    return x, tuple(basis)
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def affine_systems(draw):
+    """Systems of every shape: empty, wide, tall, low rank, forced inconsistent."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 32749]))
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(0, 9))
+    rank = draw(st.integers(0, 4))
+    entries = st.integers(0, p - 1)
+    left = np.array(draw(st.lists(entries, min_size=rows * rank, max_size=rows * rank)), dtype=np.int64)
+    right = np.array(draw(st.lists(entries, min_size=rank * cols, max_size=rank * cols)), dtype=np.int64)
+    a = (left.reshape(rows, rank) @ right.reshape(rank, cols)) % p
+    if draw(st.booleans()):
+        b = (a @ np.array(draw(st.lists(entries, min_size=cols, max_size=cols)), dtype=np.int64)) % p
+    else:
+        b = np.array(draw(st.lists(entries, min_size=rows, max_size=rows)), dtype=np.int64)
+    if rows and draw(st.booleans()):
+        # a copy of row 0 with its right-hand side moved: no solution
+        a = np.concatenate([a, a[:1]])
+        b = np.concatenate([b, (b[:1] + 1) % p])
+    return AffineSystem(p, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sys=affine_systems())
+@example(sys=AffineSystem(5, np.zeros((0, 3), dtype=np.int64), []))             # empty
+@example(sys=AffineSystem(7, [[1, 2, 3, 4], [2, 4, 6, 1]], [5, 3]))            # wide
+@example(sys=AffineSystem(32749, [[1, 2], [3, 4], [5, 6]], [1, 2, 4]))         # tall
+@example(sys=AffineSystem(2, [[1, 0], [1, 0]], [0, 1]))                        # inconsistent
+def test_solve_matches_reference_solver(sys):
+    res = solve_affine(sys)
+    particular, cert = reference_solve_affine(sys)
+    if particular is None:
+        assert isinstance(res, Inconsistent)
+        assert _same_array(res.functional, cert)
+        assert sys.checks_refutation(res.functional)
+    else:
+        assert isinstance(res, Consistent)
+        assert _same_array(res.particular, particular)
+        assert sys.is_solution(res.particular)
+    # the nullspace of A is the old solver's on the homogeneous system
+    _, old_basis = reference_solve_affine(AffineSystem(sys.p, sys.matrix, np.zeros(sys.rows, dtype=np.int64)))
+    basis = nullspace(sys.matrix, sys.p)
+    assert len(basis) == len(old_basis)
+    assert all(_same_array(v, w) for v, w in zip(basis, old_basis))
+
+
+def test_refuted_solve_memory():
+    # the D16 induced Klein witness: 768 x 512, refuted
+    _, g = dihedral(16)
+    system = linearize(induced_witness(g, find_subgroup_witness(g))).system
+    assert (system.rows, system.cols) == (768, 512)
+    tracemalloc.start()
+    try:
+        res = solve_affine(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(res, Inconsistent)
+    assert peak < 2 * system.matrix.nbytes
 
 
 # --- binomials -----------------------------------------------------------
@@ -282,7 +428,7 @@ def test_solve_agreement_wider_systems(rng):
         residual = (digits @ sys.matrix.T - sys.rhs) % p
         count = int((residual == 0).all(axis=1).sum())
         if isinstance(res, Consistent):
-            assert count == p ** len(res.nullspace)
+            assert count == p ** len(nullspace(sys.matrix, p))
         else:
             assert count == 0
 
