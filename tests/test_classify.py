@@ -4,6 +4,7 @@ from modlift.classify import (
     CertificationFailed,
     c3c3_witness_rep,
     canonical_witness,
+    catalog,
     catalog_classifications,
     classify,
     klein_witness_rep,
@@ -15,11 +16,11 @@ from modlift.groups import (
     elementary_abelian,
     find_subgroup_witness,
     generalized_quaternion,
+    is_listed_family,
     semidirect_c3_c2n,
     sylow,
 )
 from modlift.replift import Representation, check_lift, validate_rep
-from modlift.reproduce import run_item
 from modlift.rings import Mat, PrimeCtx
 
 
@@ -109,11 +110,26 @@ def test_witness_for_group_q16_raises():
         witness_for_group(g, bad)
 
 
-def test_catalog_verdicts():
-    # acceptance criterion 7 is red on its certification clause, so the
-    # verdict half is asserted here on its own
-    ok, detail = run_item("catalog-verdicts")
-    assert ok, detail
+def test_catalog_shape():
+    entries = catalog()
+    assert len(entries) >= 25
+    assert all(e.group.order <= 32 for e in entries)
+    names = [e.name for e in entries]
+    for required in ("C24", "A4", "C27", "Q8", "C2xC2", "C3xC3", "S3"):
+        assert required in names
+
+
+def test_catalog_verdicts_and_family_agreement():
+    for entry, verdict in catalog_classifications():
+        assert verdict.liftable == entry.expect_liftable, entry.name
+        if entry.expect_liftable:
+            assert verdict.tag == entry.expect_detail, entry.name
+        else:
+            assert verdict.bad.kind == entry.expect_detail, entry.name
+        listed = is_listed_family(entry.group)
+        assert (listed is not None) == verdict.liftable, entry.name
+        if verdict.liftable and entry.group.order > 1:
+            assert listed == verdict.tag
 
 
 def test_catalog_certification_explicit():
