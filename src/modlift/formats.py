@@ -15,7 +15,8 @@ Representation files are line oriented:
     mat t
     ...
 
-Words are whitespace-separated tokens ``name`` or ``name^-1``.  Lines
+Words are whitespace-separated tokens ``name`` or ``name^-1``, so
+generator names must be distinct and must not end in ``^-1``.  Lines
 starting with ``#`` (and blank lines) are ignored everywhere.
 """
 
@@ -114,6 +115,13 @@ def parse_representation(text: str) -> Representation:
             names = tuple(toks[2:])
             if len(names) != count:
                 raise ParseError(lineno, f"expected {count} generator names, got {len(names)}")
+            seen = set()
+            for nm in names:
+                if nm in seen:
+                    raise ParseError(lineno, f"duplicate generator name {nm!r}")
+                if nm.endswith("^-1"):
+                    raise ParseError(lineno, f"generator name {nm!r} ends in '^-1'")
+                seen.add(nm)
         elif key == "rel":
             rel_tokens.append((lineno, toks[1:]))
         elif key == "mat":

@@ -2,8 +2,10 @@
 
 Dense square matrices over either modulus, Gaussian elimination with
 certificate-grade determinism, affine systems over F_p, and exact integer /
-mod-p polynomial arithmetic.  Everything here is immutable after
-construction and safe to share between threads.
+mod-p polynomial arithmetic.  Affine systems over F_2 are eliminated on rows
+packed 64 bits to a word, with XOR and the same pivots as for odd p, so
+their certificates do not depend on the kernel.  Everything here is
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -404,10 +406,15 @@ def nullspace(matrix: np.ndarray, p: int) -> tuple:
     return tuple(basis)
 
 
-def _solve_augmented(work: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Solve [M | v] with free unknowns 0, or None if inconsistent; work
-    (entries in [0, p)) is eliminated in place, then back-substituted."""
-    cols = work.shape[1] - 1
+def _solve_augmented(work: np.ndarray, p: int, cols: int) -> Optional[np.ndarray]:
+    """Solve [M | v] (cols unknowns) with free unknowns 0, or None if
+    inconsistent; work is eliminated in place, then back-substituted.
+
+    For p = 2, work holds packed rows (see _pack_primal) and goes to the XOR
+    kernel; otherwise it is int64 with entries in [0, p).
+    """
+    if p == 2:
+        return _solve_packed(work, cols)
     pivots = _forward_eliminate(work, p, cols)
     rank = len(pivots)
     if work[rank:, cols].any():
@@ -420,6 +427,76 @@ def _solve_augmented(work: np.ndarray, p: int) -> Optional[np.ndarray]:
     return x
 
 
+# bit j of a packed row is bit j & 63 of word j >> 6
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _pack_primal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A | b] over F_2 as packed rows of little-endian uint64 words."""
+    rows, cols = a.shape
+    bits = np.empty((rows, cols + 1), dtype=np.uint8)
+    bits[:, :cols] = a
+    bits[:, cols] = b
+    words = np.zeros((rows, (cols + 64) >> 6), dtype="<u8")
+    words.view(np.uint8)[:, : (cols + 8) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+    return words
+
+
+def _pack_dual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A^T 0; b^T 1] over F_2 as packed rows.
+
+    Row j is column j of [A b; 0 1].  The columns are packed 64 rows of A at
+    a time, by shifting rows k, k + 64, ... into bit k, so no transposed copy
+    of A is made.
+    """
+    rows, cols = a.shape
+    words = np.zeros(((rows + 64) >> 6, cols + 1), dtype="<u8")
+    for k in range(min(64, rows)):
+        shift = np.uint64(k)
+        part = a[k::64]
+        words[: len(part), :cols] |= part.view(np.uint64) << shift
+        words[: len(part), cols] |= b[k::64].view(np.uint64) << shift
+    words[rows >> 6, cols] |= _BIT[rows & 63]
+    return np.ascontiguousarray(words.T)
+
+
+def _solve_packed(words: np.ndarray, cols: int) -> Optional[np.ndarray]:
+    """_solve_augmented over F_2 on packed rows, with the same pivots.
+
+    The row update is an XOR of the pivot row from its pivot's word on (the
+    pivot row is zero left of its pivot, so nothing before is touched).  In
+    back-substitution x carries the right-hand side as its bit `cols`, so
+    each pivot unknown is the parity of (row AND x).
+    """
+    rows = words.shape[0]
+    pivots = []
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        w = j >> 6
+        nz = np.flatnonzero(words[r:, w] & _BIT[j & 63])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            words[[r, i]] = words[[i, r]]
+        if nz.size > 1:
+            words[r + nz[1:], w:] ^= words[r, w:]
+        pivots.append(j)
+        r += 1
+    if (words[r:, cols >> 6] & _BIT[cols & 63]).any():
+        return None
+    x = np.zeros(words.shape[1], dtype="<u8")
+    x[cols >> 6] = _BIT[cols & 63]
+    for r in range(len(pivots) - 1, -1, -1):
+        j = pivots[r]
+        w = j >> 6
+        if int(np.bitwise_xor.reduce(words[r, w:] & x[w:])).bit_count() & 1:
+            x[w] |= _BIT[j & 63]
+    return np.unpackbits(x.view(np.uint8), count=cols, bitorder="little").astype(np.int64)
+
+
 def solve_affine(sys: AffineSystem) -> SolveResult:
     """Decide A x = b over F_p with a checkable certificate either way.
 
@@ -428,21 +505,28 @@ def solve_affine(sys: AffineSystem) -> SolveResult:
                   the dual system [A^T 0; b^T 1], built once the primal
                   array is freed.  Such c exists iff A x = b has no solution.
 
+    For p = 2 both arrays are packed bits, so no int64 copy of A is made.
     The certificate is not checked here; `check_lift` checks it once.
     """
     p = sys.p
     rows, cols = sys.rows, sys.cols
-    work = np.concatenate([sys.matrix, sys.rhs.reshape(rows, 1)], axis=1)
-    x = _solve_augmented(work, p)
+    if p == 2:
+        work = _pack_primal(sys.matrix, sys.rhs)
+    else:
+        work = np.concatenate([sys.matrix, sys.rhs.reshape(rows, 1)], axis=1)
+    x = _solve_augmented(work, p, cols)
     del work
     if x is not None:
         x.flags.writeable = False
         return Consistent(particular=x)
-    dual = np.zeros((cols + 1, rows + 1), dtype=np.int64)
-    dual[:cols, :rows] = sys.matrix.T
-    dual[cols, :rows] = sys.rhs
-    dual[cols, rows] = 1
-    c = _solve_augmented(dual, p)
+    if p == 2:
+        dual = _pack_dual(sys.matrix, sys.rhs)
+    else:
+        dual = np.zeros((cols + 1, rows + 1), dtype=np.int64)
+        dual[:cols, :rows] = sys.matrix.T
+        dual[cols, :rows] = sys.rhs
+        dual[cols, rows] = 1
+    c = _solve_augmented(dual, p, rows)
     if c is None:
         raise AssertionError("internal error: failed to certify inconsistency")
     c.flags.writeable = False

@@ -152,6 +152,8 @@ def test_cli_check_malformed(tmp_path, capsys):
         ("p 2\nn -1\ngens 1 s\n", "line 2: n must be at least 1"),
         ("p 2\nn 0\ngens 1 s\n", "line 2: n must be at least 1"),
         ("p 1\nn 1\ngens 1 s\n", "line 1: p must be a prime"),
+        ("p 2\nn 1\ngens 2 s s\n", "line 3: duplicate generator name 's'"),
+        ("p 2\nn 1\ngens 1 s^-1\n", "line 3: generator name 's^-1' ends in '^-1'"),
     ],
 )
 def test_cli_check_rejects_bad_header(tmp_path, capsys, header, message):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import time_limit
 from modlift.classify import induced_witness
-from modlift.groups import dihedral, find_subgroup_witness
+from modlift.groups import cyclic_group, dihedral, find_subgroup_witness
 from modlift.replift import linearize
 from modlift.rings import (
     AffineSystem,
@@ -289,12 +289,37 @@ def affine_systems(draw):
     return AffineSystem(p, a, b)
 
 
+def _f2_system(rows, cols, rank, consistent, seed):
+    """A seeded F_2 system of rank at most `rank`; when not consistent, its
+    last row repeats row 0 with the right-hand side flipped."""
+    rng = np.random.default_rng(seed)
+    a = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, cols))) % 2
+    if not consistent:
+        a[-1] = a[0]
+    b = (a @ rng.integers(0, 2, cols)) % 2
+    if not consistent:
+        b[-1] = 1 - b[0]
+    return AffineSystem(2, a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sys=affine_systems())
 @example(sys=AffineSystem(5, np.zeros((0, 3), dtype=np.int64), []))             # empty
 @example(sys=AffineSystem(7, [[1, 2, 3, 4], [2, 4, 6, 1]], [5, 3]))            # wide
 @example(sys=AffineSystem(32749, [[1, 2], [3, 4], [5, 6]], [1, 2, 4]))         # tall
 @example(sys=AffineSystem(2, [[1, 0], [1, 0]], [0, 1]))                        # inconsistent
+# p = 2 across 64-bit words: the packed widths cols + 1 (primal) and
+# rows + 1 (dual, built when inconsistent) are 63, 64, 65, 128 and 129
+@example(sys=_f2_system(62, 128, 62, False, 1))
+@example(sys=_f2_system(63, 127, 63, False, 2))
+@example(sys=_f2_system(64, 64, 64, False, 3))
+@example(sys=_f2_system(127, 63, 63, False, 4))
+@example(sys=_f2_system(128, 62, 62, False, 5))
+@example(sys=_f2_system(128, 128, 40, False, 6))                               # rank-deficient
+@example(sys=_f2_system(127, 128, 70, True, 7))                                # rank-deficient
+@example(sys=_f2_system(64, 65, 64, True, 8))
+@example(sys=_f2_system(0, 128, 0, True, 9))                                   # 0 rows
+@example(sys=AffineSystem(2, np.zeros((63, 0), dtype=np.int64), [0] * 62 + [1]))  # 0 columns
 def test_solve_matches_reference_solver(sys):
     res = solve_affine(sys)
     particular, cert = reference_solve_affine(sys)
@@ -314,18 +339,22 @@ def test_solve_matches_reference_solver(sys):
 
 
 def test_refuted_solve_memory():
-    # the D16 induced Klein witness: 768 x 512, refuted
-    _, g = dihedral(16)
-    system = linearize(induced_witness(g, find_subgroup_witness(g))).system
-    assert (system.rows, system.cols) == (768, 512)
-    tracemalloc.start()
-    try:
-        res = solve_affine(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert isinstance(res, Inconsistent)
-    assert peak < 2 * system.matrix.nbytes
+    # refuted induced witnesses: D16 (Klein, p = 2) on packed bits, and
+    # C63 (C7, p = 7) on int64 rows
+    for (_, g), shape, bound in (
+        (dihedral(16), (768, 512), 0.3),
+        (cyclic_group(63), (2025, 2025), 2),
+    ):
+        system = linearize(induced_witness(g, find_subgroup_witness(g))).system
+        assert (system.rows, system.cols) == shape
+        tracemalloc.start()
+        try:
+            res = solve_affine(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, Inconsistent)
+        assert peak < bound * system.matrix.nbytes
 
 
 # --- binomials -----------------------------------------------------------
