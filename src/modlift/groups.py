@@ -1,9 +1,16 @@
 """Finite groups as multiplication tables.
 
-Presentations with relator words, built-in families (cyclic, products,
-dihedral, generalized quaternion, C3 semidirect C_{2^n}), Sylow subgroups,
-coset transversals, and the obstruction-subgroup search used by the
-classifier.  Element 0 is always the identity.
+Presentations with relator words, built-in families, Sylow subgroups, coset
+transversals, and the obstruction-subgroup search used by the classifier.
+Element 0 is always the identity.
+
+The five built-in families are metacyclic, <a, b | a^m, b^k = a^t,
+b a b^-1 = a^r> with a^i b^j at index i + m*j, and one numpy builder makes
+their tables by
+  a^{i1} b^{j1} * a^{i2} b^{j2} = a^{i1 + i2 r^{j1} + t [j1 + j2 >= k]} b^{(j1 + j2) mod k}.
+(m, k, r, t) is (n, 1, 1, 0) for C_n, (b, a, 1, 0) for C_a x C_b (whose t is
+a and s is b), (h, 2, h-1, 0) for D_{2h}, (h, 2, h-1, h/2) for Q_{2h} and
+(3, 2^n, 2, 0) for C3 semidirect C_{2^n}.
 """
 
 from __future__ import annotations
@@ -136,12 +143,11 @@ class FiniteGroup:
         idx = np.arange(n)
         if not np.array_equal(t[0], idx) or not np.array_equal(t[:, 0], idx):
             raise GroupAuditError("element 0 is not a two-sided identity")
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(t[a] == 0)
-            if hits.size != 1 or t[hits[0], a] != 0:
-                raise GroupAuditError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
+        zeros = t == 0
+        inv = zeros.argmax(axis=1)
+        bad = np.flatnonzero((zeros.sum(axis=1) != 1) | (t[inv, idx] != 0))
+        if bad.size:
+            raise GroupAuditError(f"element {bad[0]} lacks a two-sided inverse")
         if n <= EXHAUSTIVE_AUDIT_ORDER:
             left = t[t]              # left[a,b,c] = (a*b)*c
             right = t[:, t]          # right[a,b,c] = a*(b*c)
@@ -236,13 +242,17 @@ class Subgroup:
         object.__setattr__(self, "elements", elems)
         if not elems or elems[0] != 0:
             raise NotASubgroup("subgroup must contain the identity")
-        eset = set(elems)
-        for a in elems:
-            if g.inv_of(a) not in eset:
-                raise NotASubgroup(f"not inverse-closed at {a}")
-            for b in elems:
-                if g.mul(a, b) not in eset:
-                    raise NotASubgroup(f"not closed at {a}*{b}")
+        e = np.array(elems)
+        member = np.zeros(g.order, dtype=bool)
+        member[e] = True
+        bad_inv = ~member[g.inverse[e]]
+        bad_mul = ~member[g.table[np.ix_(e, e)]]
+        rows = np.flatnonzero(bad_inv | bad_mul.any(axis=1))
+        if rows.size:
+            a = rows[0]
+            if bad_inv[a]:
+                raise NotASubgroup(f"not inverse-closed at {elems[a]}")
+            raise NotASubgroup(f"not closed at {elems[a]}*{elems[bad_mul[a].argmax()]}")
 
     @property
     def order(self) -> int:
@@ -260,36 +270,42 @@ def _check_order(n: int):
         raise UnsupportedFamily("order must be positive")
 
 
+# t s t^-1 s: the second generator inverts the first
+_INVERTS = ((1, 1), (0, 1), (1, -1), (0, 1))
+
+
+def _metacyclic(m: int, k: int, r: int, t: int, pres: Presentation, gens: tuple, name: str) -> tuple:
+    """(pres, group) with the table of <a, b | a^m, b^k = a^t, b a b^-1 = a^r>
+    (module docstring), built on axes (j1, i1, j2, i2); callers check m*k first."""
+    j1, i1, j2, i2 = np.ix_(range(k), range(m), range(k), range(m))
+    r_pow = np.array([pow(r, e, m) for e in range(k)])
+    j = j1 + j2
+    table = i1 + t * (j >= k) + i2 * r_pow[j1]
+    table %= m
+    table += m * (j % k)
+    return pres, FiniteGroup(table.reshape(m * k, m * k), pres, gens, name=name)
+
+
 def cyclic_group(n: int) -> tuple:
     """C_n = <s | s^n>."""
     _check_order(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    pres = Presentation(("s",), (wpow(0, n),))
-    gen = 1 % n
-    g = FiniteGroup(table, pres, (gen,), name=f"C{n}")
-    return pres, g
+    return _metacyclic(n, 1, 1, 0, Presentation(("s",), (wpow(0, n),)), (1 % n,), f"C{n}")
 
 
 def direct_product_cyclic(a: int, b: int) -> tuple:
     """C_a x C_b = <s, t | s^a, t^b, [s,t]>, element (i, j) at index i*b + j."""
+    if a < 1 or b < 1:
+        raise UnsupportedFamily("order must be positive")
     _check_order(a * b)
-    n = a * b
-    table = [
-        [((i1 + i2) % a) * b + (j1 + j2) % b for i2 in range(a) for j2 in range(b)]
-        for i1 in range(a)
-        for j1 in range(b)
-    ]
     pres = Presentation(("s", "t"), (wpow(0, a), wpow(1, b), commutator(0, 1)))
-    g = FiniteGroup(table, pres, (b % n, 1 % n), name=f"C{a}xC{b}")
-    return pres, g
+    return _metacyclic(b, a, 1, 0, pres, (b % (a * b), 1 % b), f"C{a}xC{b}")
 
 
 def elementary_abelian(p: int, rank: int) -> tuple:
     if rank == 1:
         return cyclic_group(p)
     if rank == 2:
-        pres, g = direct_product_cyclic(p, p)
-        return pres, g
+        return direct_product_cyclic(p, p)
     raise UnsupportedFamily("elementary abelian rank must be 1 or 2")
 
 
@@ -298,59 +314,22 @@ def generalized_quaternion(order: int) -> tuple:
 
     Element (a, b) = s^a t^b with a < 2^{n-1}, b < 2, at index a + b*2^{n-1}.
     """
-    n_exp = order.bit_length() - 1
-    if order < 8 or order != 1 << n_exp:
+    if order < 8 or order & (order - 1):
         raise UnsupportedFamily("generalized quaternion order must be 2^n, n >= 3")
     _check_order(order)
-    h = order // 2
-    q = order // 4
-
-    def idx(a, b):
-        return a % h + (b % 2) * h
-
-    table = [[0] * order for _ in range(order)]
-    for a in range(h):
-        for b in range(2):
-            for c in range(h):
-                for d in range(2):
-                    if b == 0:
-                        r_a, r_b = a + c, d
-                    else:
-                        r_a, r_b = a - c, 1 + d
-                        if r_b == 2:
-                            r_a, r_b = r_a + q, 0
-                    table[idx(a, b)][idx(c, d)] = idx(r_a, r_b)
-    pres = Presentation(
-        ("s", "t"),
-        (wmul(wpow(0, q), wpow(1, -2)), wpow(0, h), ((1, 1), (0, 1), (1, -1), (0, 1))),
-    )
-    g = FiniteGroup(table, pres, (1, h), name=f"Q{order}")
-    return pres, g
+    h, q = order // 2, order // 4
+    pres = Presentation(("s", "t"), (wmul(wpow(0, q), wpow(1, -2)), wpow(0, h), _INVERTS))
+    return _metacyclic(h, 2, h - 1, q, pres, (1, h), f"Q{order}")
 
 
 def dihedral(order: int) -> tuple:
     """Dihedral group of the given order 2^n >= 4: <r, f | r^{o/2}, f^2, f r f^-1 r>."""
-    n_exp = order.bit_length() - 1
-    if order < 4 or order != 1 << n_exp:
+    if order < 4 or order & (order - 1):
         raise UnsupportedFamily("dihedral order must be 2^n, n >= 2")
     _check_order(order)
     h = order // 2
-
-    def idx(a, b):
-        return a % h + (b % 2) * h
-
-    table = [[0] * order for _ in range(order)]
-    for a in range(h):
-        for b in range(2):
-            for c in range(h):
-                for d in range(2):
-                    r_a = a + c if b == 0 else a - c
-                    table[idx(a, b)][idx(c, d)] = idx(r_a, b + d)
-    pres = Presentation(
-        ("r", "f"), (wpow(0, h), wpow(1, 2), ((1, 1), (0, 1), (1, -1), (0, 1)))
-    )
-    g = FiniteGroup(table, pres, (1, h), name=f"D{order}")
-    return pres, g
+    pres = Presentation(("r", "f"), (wpow(0, h), wpow(1, 2), _INVERTS))
+    return _metacyclic(h, 2, h - 1, 0, pres, (1, h), f"D{order}")
 
 
 def semidirect_c3_c2n(n: int) -> tuple:
@@ -363,22 +342,8 @@ def semidirect_c3_c2n(n: int) -> tuple:
         raise UnsupportedFamily("need n >= 1")
     m = 1 << n
     _check_order(3 * m)
-
-    def idx(x, y):
-        return x % 3 + 3 * (y % m)
-
-    table = [[0] * (3 * m) for _ in range(3 * m)]
-    for x1 in range(3):
-        for y1 in range(m):
-            for x2 in range(3):
-                for y2 in range(m):
-                    x = x1 + (x2 if y1 % 2 == 0 else -x2)
-                    table[idx(x1, y1)][idx(x2, y2)] = idx(x, y1 + y2)
-    pres = Presentation(
-        ("s", "t"), (wpow(0, 3), wpow(1, m), ((1, 1), (0, 1), (1, -1), (0, 1)))
-    )
-    g = FiniteGroup(table, pres, (1, 3), name=f"C3:C{m}")
-    return pres, g
+    pres = Presentation(("s", "t"), (wpow(0, 3), wpow(1, m), _INVERTS))
+    return _metacyclic(3, m, 2, 0, pres, (1, 3), f"C3:C{m}")
 
 
 def perm_group(perms: Sequence[tuple], names: Sequence[str], relators: Sequence[Word], name=None) -> tuple:
@@ -419,14 +384,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name=None) -> FiniteGroup:
     """Table-level direct product; presentations merge when both exist."""
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
-    t1, t2 = g1.table, g2.table
-    table = np.empty((n1 * n2, n1 * n2), dtype=np.int64)
-    for a1 in range(n1):
-        for b1 in range(n2):
-            row = t1[a1][:, None] * n2 + t2[b1][None, :]
-            table[a1 * n2 + b1] = row.reshape(-1)
-    pres = None
-    gens = None
+    # (a1, b1) * (a2, b2) at [a1, b1, a2, b2], element (a, b) at index a*n2 + b
+    table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(n1 * n2, -1)
+    pres = gens = None
     if g1.presentation is not None and g2.presentation is not None:
         p1, p2 = g1.presentation, g2.presentation
         k1 = p1.num_gens

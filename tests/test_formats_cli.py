@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import over_budget_rep
 from modlift import reproduce
 from modlift.cli import main
-from modlift.classify import klein_witness_rep
+from modlift.classify import classify, klein_witness_rep
 from modlift.cyclic_lift import companion_lift, find_divisor_lift
 from modlift.formats import (
     ParseError,
@@ -239,6 +239,7 @@ def test_parse_algebra_element_fuzz(text):
         (["classify", "--table", "{table}"], "line 3: entries must lie in [0, 2)"),
         (["theta", "C 9", "{elt}", "{elt}", "-p", "99999999999999999999"], "p must be a prime"),
         (["theta", "C 9", "{elt}", "{elt}", "-p", "0"], "p must be a prime"),
+        (["classify", "CxC", "-2", "-3"], "order must be positive"),
     ],
 )
 def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, argv, message):
@@ -303,6 +304,25 @@ def test_cli_classify_family(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "VERDICT: LIFTABLE (C3xC2n)" in out
+
+
+@pytest.mark.parametrize("a", [1, 3, 4, 9])
+def test_cli_classify_cyclic_as_product(capsys, a):
+    # CxC a 1, CxC 1 a and C a are all C_a: one verdict in the library and the CLI
+    verdicts = set()
+    for tokens in (["CxC", str(a), "1"], ["CxC", "1", str(a)], ["C", str(a)]):
+        verdict = classify(family_from_tokens(tokens)[1])
+        expected = (
+            f"VERDICT: LIFTABLE ({verdict.tag})"
+            if verdict.liftable
+            else f"VERDICT: NOT_LIFTABLE ({verdict.bad.kind})"
+        )
+        rc = main(["classify", *tokens])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[1] == expected
+        verdicts.add(expected)
+    assert len(verdicts) == 1
 
 
 def test_cli_classify_witness_round_trip(capsys):
