@@ -292,6 +292,10 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
             raise InvalidRepresentation(_BROKEN_RELATOR.format(i)) from None
         b[...] = (-defect.a) % p
         defects.append(defect)
+    # every entry is already in [0, p); read-only, the arrays are handed
+    # over to the system without a copy
+    matrix.flags.writeable = False
+    rhs.flags.writeable = False
     system = AffineSystem(p, matrix.reshape(rows, cols), rhs.reshape(rows), UnknownLayout(k, n))
     return LinearizedSystem(system=system, defects=tuple(defects), lifts=tuple(naive_lifts))
 

@@ -4,8 +4,14 @@ Dense square matrices over either modulus, Gaussian elimination with
 certificate-grade determinism, affine systems over F_p, and exact integer /
 mod-p polynomial arithmetic.  Affine systems over F_2 are eliminated on rows
 packed 64 bits to a word, with XOR and the same pivots as for odd p, so
-their certificates do not depend on the kernel.  Everything here is
-immutable after construction and safe to share between threads.
+their certificates do not depend on the kernel.  Elimination over F_p on
+int64 rows delays reduction mod p to where a value is read: the entries the
+pivot search finds, the pivot row when it is chosen, and the right-hand
+sides left below the rank.  A row update subtracts products of two values
+in [0, p) unreduced, so an entry stays below p + rank * (p-1)^2 in absolute
+value, under 2^63 for p <= PRIME_CAP at any rank that fits in memory.
+Everything here is immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -298,10 +304,8 @@ class AffineSystem:
     __slots__ = ("p", "matrix", "rhs", "layout")
 
     def __init__(self, p: int, matrix, rhs, layout: Optional[UnknownLayout] = None):
-        # asarray does not copy an int64 array, and % p allocates the one
-        # copy this system owns, so the caller's arrays are never written
-        a = np.asarray(matrix, dtype=np.int64) % p
-        b = np.asarray(rhs, dtype=np.int64) % p
+        a = _owned_reduced(matrix, p)
+        b = _owned_reduced(rhs, p)
         if a.ndim != 2:
             raise ValueError("coefficient matrix must be 2-dimensional")
         if b.shape != (a.shape[0],):
@@ -331,7 +335,23 @@ class AffineSystem:
         c = np.asarray(c, dtype=np.int64)
         if c.shape != (self.rows,):
             return False
-        return not ((c @ self.matrix) % self.p).any() and bool((c @ self.rhs) % self.p)
+        # einsum forms the same int64 sums as c @ A, without numpy's slow
+        # integer matmul
+        ca = np.einsum("i,ij->j", c, self.matrix) % self.p
+        return not ca.any() and bool((c @ self.rhs) % self.p)
+
+
+def _owned_reduced(x, p: int) -> np.ndarray:
+    """x as an int64 array in [0, p) that no caller can write.
+
+    An int64 array that is already read-only and reduced is kept as it is;
+    anything else is copied by the reduction, so a caller's array is never
+    written or aliased writeably.
+    """
+    a = np.asarray(x, dtype=np.int64)
+    if a.flags.writeable or (a.size and (a.min() < 0 or a.max() >= p)):
+        a = a % p
+    return a
 
 
 @dataclass(frozen=True)
@@ -349,7 +369,16 @@ SolveResult = Union[Consistent, Inconsistent]
 
 def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
     """In-place row echelon form; pivots restricted to the first pivot_cols
-    columns.  Row order is deterministic: first nonzero entry wins."""
+    columns.  Row order is deterministic: first entry nonzero mod p wins.
+
+    work must start with entries in [0, p).  Reduction is delayed: a column
+    is reduced only at the entries the pivot search reads, and a pivot row
+    as a whole when it is chosen, so the pivot rows end up in [0, p) and
+    zero left of their pivots.  The row update subtracts products of two
+    values in [0, p) without reducing, so the rows below the rank hold
+    unreduced entries of absolute value below p + rank * (p-1)^2, which is
+    far inside int64 for p <= PRIME_CAP at any rank that fits in memory.
+    """
     rows = work.shape[0]
     pivots = []
     r = 0
@@ -357,20 +386,23 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
         if r == rows:
             break
         nz = np.flatnonzero(work[r:, j])
+        vals = work[r + nz, j] % p
+        keep = vals != 0
+        nz, vals = nz[keep], vals[keep]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
-        piv = int(work[r, j])
+        row = work[r]
+        np.remainder(row, p, out=row)
+        piv = int(vals[0])
         if piv != 1:
-            work[r, j:] = (work[r, j:] * pow(piv, -1, p)) % p
-        below = np.flatnonzero(work[r + 1 :, j])
-        if below.size:
-            rows_sel = r + 1 + below
-            work[rows_sel, j:] = (
-                work[rows_sel, j:] - np.outer(work[rows_sel, j], work[r, j:])
-            ) % p
+            row[j:] = (row[j:] * pow(piv, -1, p)) % p
+        if nz.size > 1:
+            # the old row r moved to row i and is zero in column j, so the
+            # rows to update are those found by the scan after the first
+            work[r + nz[1:], j:] -= np.multiply.outer(vals[1:], row[j:])
         pivots.append(j)
         r += 1
     return pivots
@@ -411,13 +443,14 @@ def _solve_augmented(work: np.ndarray, p: int, cols: int) -> Optional[np.ndarray
     inconsistent; work is eliminated in place, then back-substituted.
 
     For p = 2, work holds packed rows (see _pack_primal) and goes to the XOR
-    kernel; otherwise it is int64 with entries in [0, p).
+    kernel; otherwise it is int64 with entries in [0, p).  Elimination
+    leaves the rows below the rank unreduced, so they are read mod p.
     """
     if p == 2:
         return _solve_packed(work, cols)
     pivots = _forward_eliminate(work, p, cols)
     rank = len(pivots)
-    if work[rank:, cols].any():
+    if (work[rank:, cols] % p).any():
         return None
     x = np.zeros(cols, dtype=np.int64)
     for r in range(rank - 1, -1, -1):

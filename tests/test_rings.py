@@ -25,6 +25,7 @@ from modlift.rings import (
     merge_kernel_element,
     nullspace,
     power,
+    rref,
     solve_affine,
     split_kernel_element,
 )
@@ -191,41 +192,58 @@ def test_solve_agrees_with_enumeration(rng):
             assert sys.checks_refutation(res.functional)
 
 
+def reference_forward(work, p, pivot_cols):
+    """The eager forward elimination: every row update reduced mod p."""
+    pivots, r = [], 0
+    for j in range(pivot_cols):
+        if r == work.shape[0]:
+            break
+        nz = np.flatnonzero(work[r:, j])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+        piv = int(work[r, j])
+        if piv != 1:
+            work[r, j:] = (work[r, j:] * pow(piv, -1, p)) % p
+        below = r + 1 + np.flatnonzero(work[r + 1 :, j])
+        work[below, j:] = (work[below, j:] - np.outer(work[below, j], work[r, j:])) % p
+        pivots.append(j)
+        r += 1
+    return pivots
+
+
+def reference_back(work, p, pivots):
+    for r in range(len(pivots) - 1, -1, -1):
+        j = pivots[r]
+        above = np.flatnonzero(work[:r, j])
+        work[above, j:] = (work[above, j:] - np.outer(work[above, j], work[r, j:])) % p
+
+
+def reference_rref(matrix, p):
+    """(rref, pivots) by the eager elimination, as rref returns them."""
+    work = np.array(matrix, dtype=np.int64) % p
+    pivots = reference_forward(work, p, work.shape[1])
+    reference_back(work, p, pivots)
+    return work[: len(pivots)], pivots
+
+
 def reference_solve_affine(sys):
     """The solver this package shipped before it had one elimination routine.
 
     Full RREF of [A | b] and a nullspace basis when consistent; otherwise a
     second elimination of the transposed system [A^T; b^T] y = e_last.  Kept
-    self-contained, with its own elimination, so that a new kernel is
+    self-contained, with its own eager elimination, so that a new kernel is
     compared against code it does not share.  Returns (particular,
     nullspace) or (None, functional).
     """
     p = sys.p
 
-    def forward(work, pivot_cols):
-        pivots, r = [], 0
-        for j in range(pivot_cols):
-            if r == work.shape[0]:
-                break
-            nz = np.flatnonzero(work[r:, j])
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                work[[r, i]] = work[[i, r]]
-            piv = int(work[r, j])
-            if piv != 1:
-                work[r, j:] = (work[r, j:] * pow(piv, -1, p)) % p
-            below = r + 1 + np.flatnonzero(work[r + 1 :, j])
-            work[below, j:] = (work[below, j:] - np.outer(work[below, j], work[r, j:])) % p
-            pivots.append(j)
-            r += 1
-        return pivots
-
     def particular(matrix, rhs):
         rows, cols = matrix.shape
         work = np.concatenate([matrix % p, (rhs % p).reshape(rows, 1)], axis=1)
-        pivots = forward(work, cols)
+        pivots = reference_forward(work, p, cols)
         if work[len(pivots) :, cols].any():
             return None
         x = np.zeros(cols, dtype=np.int64)
@@ -236,19 +254,16 @@ def reference_solve_affine(sys):
 
     rows, cols = sys.rows, sys.cols
     work = np.concatenate([sys.matrix, sys.rhs.reshape(rows, 1)], axis=1)
-    pivots = forward(work, cols)
+    pivots = reference_forward(work, p, cols)
     rank = len(pivots)
     if work[rank:, cols].any():
         dual = np.concatenate([sys.matrix.T, sys.rhs.reshape(1, rows)], axis=0)
         target = np.zeros(cols + 1, dtype=np.int64)
         target[cols] = 1
         c = particular(dual, target)
-        assert c is not None and sys.checks_refutation(c)
+        assert c is not None and dense_refutes(sys, c)
         return None, c
-    for r in range(rank - 1, -1, -1):
-        j = pivots[r]
-        above = np.flatnonzero(work[:r, j])
-        work[above, j:] = (work[above, j:] - np.outer(work[above, j], work[r, j:])) % p
+    reference_back(work, p, pivots)
     x = np.zeros(cols, dtype=np.int64)
     for r, j in enumerate(pivots):
         x[j] = work[r, cols]
@@ -261,6 +276,12 @@ def reference_solve_affine(sys):
             v[j] = (-work[r, f]) % p
         basis.append(v)
     return x, tuple(basis)
+
+
+def dense_refutes(sys, c):
+    """c.A = 0 and c.b != 0, by dense int64 products."""
+    c = np.asarray(c, dtype=np.int64)
+    return not ((c @ sys.matrix) % sys.p).any() and bool((c @ sys.rhs) % sys.p)
 
 
 def _same_array(a, b):
@@ -289,17 +310,17 @@ def affine_systems(draw):
     return AffineSystem(p, a, b)
 
 
-def _f2_system(rows, cols, rank, consistent, seed):
-    """A seeded F_2 system of rank at most `rank`; when not consistent, its
-    last row repeats row 0 with the right-hand side flipped."""
+def _seeded_system(rows, cols, rank, consistent, seed, p=2):
+    """A seeded system of rank at most `rank`; when not consistent, its
+    last row repeats row 0 with the right-hand side moved."""
     rng = np.random.default_rng(seed)
-    a = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, cols))) % 2
+    a = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
     if not consistent:
         a[-1] = a[0]
-    b = (a @ rng.integers(0, 2, cols)) % 2
+    b = (a @ rng.integers(0, p, cols)) % p
     if not consistent:
-        b[-1] = 1 - b[0]
-    return AffineSystem(2, a, b)
+        b[-1] = (b[0] + 1) % p
+    return AffineSystem(p, a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,16 +331,23 @@ def _f2_system(rows, cols, rank, consistent, seed):
 @example(sys=AffineSystem(2, [[1, 0], [1, 0]], [0, 1]))                        # inconsistent
 # p = 2 across 64-bit words: the packed widths cols + 1 (primal) and
 # rows + 1 (dual, built when inconsistent) are 63, 64, 65, 128 and 129
-@example(sys=_f2_system(62, 128, 62, False, 1))
-@example(sys=_f2_system(63, 127, 63, False, 2))
-@example(sys=_f2_system(64, 64, 64, False, 3))
-@example(sys=_f2_system(127, 63, 63, False, 4))
-@example(sys=_f2_system(128, 62, 62, False, 5))
-@example(sys=_f2_system(128, 128, 40, False, 6))                               # rank-deficient
-@example(sys=_f2_system(127, 128, 70, True, 7))                                # rank-deficient
-@example(sys=_f2_system(64, 65, 64, True, 8))
-@example(sys=_f2_system(0, 128, 0, True, 9))                                   # 0 rows
+@example(sys=_seeded_system(62, 128, 62, False, 1))
+@example(sys=_seeded_system(63, 127, 63, False, 2))
+@example(sys=_seeded_system(64, 64, 64, False, 3))
+@example(sys=_seeded_system(127, 63, 63, False, 4))
+@example(sys=_seeded_system(128, 62, 62, False, 5))
+@example(sys=_seeded_system(128, 128, 40, False, 6))                               # rank-deficient
+@example(sys=_seeded_system(127, 128, 70, True, 7))                                # rank-deficient
+@example(sys=_seeded_system(64, 65, 64, True, 8))
+@example(sys=_seeded_system(0, 128, 0, True, 9))                                   # 0 rows
 @example(sys=AffineSystem(2, np.zeros((63, 0), dtype=np.int64), [0] * 62 + [1]))  # 0 columns
+# odd p, where updates are not reduced: row 2 reaches its pivot as [0, -3, 1]
+# (a multiple of p left of it); column 1 holds only -3 below row 0; the rhs
+# left below the rank is -p; and a dense system of rank 310
+@example(sys=AffineSystem(3, [[1, 2, 0], [0, 1, 0], [1, 0, 1]], [0, 1, 2]))
+@example(sys=AffineSystem(3, [[1, 2, 0], [2, 1, 1]], [1, 1]))
+@example(sys=AffineSystem(3, [[1], [2]], [2, 1]))
+@example(sys=_seeded_system(330, 320, 310, False, 10, p=32749))
 def test_solve_matches_reference_solver(sys):
     res = solve_affine(sys)
     particular, cert = reference_solve_affine(sys)
@@ -331,6 +359,19 @@ def test_solve_matches_reference_solver(sys):
         assert isinstance(res, Consistent)
         assert _same_array(res.particular, particular)
         assert sys.is_solution(res.particular)
+    # the refutation check agrees with dense c.A on random functionals and,
+    # when refuted, on the refutation with one entry moved
+    rng = np.random.default_rng(sys.rows * 1000 + sys.cols)
+    trials = [rng.integers(0, sys.p, sys.rows) for _ in range(3)]
+    if particular is None:
+        moved = cert.copy()
+        moved[0] = (moved[0] + 1) % sys.p
+        trials.append(moved)
+    for c in trials:
+        assert sys.checks_refutation(c) == dense_refutes(sys, c)
+    reduced, pivots = rref(sys.matrix, sys.p)
+    ref_reduced, ref_pivots = reference_rref(sys.matrix, sys.p)
+    assert pivots == ref_pivots and _same_array(reduced, ref_reduced)
     # the nullspace of A is the old solver's on the homogeneous system
     _, old_basis = reference_solve_affine(AffineSystem(sys.p, sys.matrix, np.zeros(sys.rows, dtype=np.int64)))
     basis = nullspace(sys.matrix, sys.p)
@@ -498,3 +539,27 @@ def test_affine_system_copies_matrix_once():
     assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
     assert np.array_equal(system.matrix, a_before % p)
     assert np.array_equal(system.rhs, b_before % p)
+
+
+def test_linearize_hands_matrix_over():
+    # linearize's array is reduced and read-only, so the system keeps it
+    # without a copy; the D16 induced Klein witness is 768 x 512
+    _, g = dihedral(16)
+    rep = induced_witness(g, find_subgroup_witness(g))
+    tracemalloc.start()
+    try:
+        system = linearize(rep).system
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (system.rows, system.cols) == (768, 512)
+    assert peak <= 1.5 * system.matrix.nbytes
+    assert not system.matrix.flags.writeable
+    kept = AffineSystem(system.p, system.matrix, system.rhs)
+    assert kept.matrix is system.matrix and kept.rhs is system.rhs
+    # a read-only array out of [0, p) is reduced into a copy
+    raw = np.array([[3, -1], [2, 5]], dtype=np.int64)
+    raw.flags.writeable = False
+    reduced = AffineSystem(3, raw, raw[0])
+    assert reduced.matrix.tolist() == [[0, 2], [2, 2]] and reduced.rhs.tolist() == [0, 2]
+    assert raw.tolist() == [[3, -1], [2, 5]]
