@@ -342,11 +342,11 @@ class AffineSystem:
 
 
 def _owned_reduced(x, p: int) -> np.ndarray:
-    """x as an int64 array in [0, p) that no caller can write.
+    """x as an int64 array in [0, p) for a system to own.
 
-    An int64 array that is already read-only and reduced is kept as it is;
-    anything else is copied by the reduction, so a caller's array is never
-    written or aliased writeably.
+    An int64 array that is read-only and already reduced is taken over as
+    it is; anything else is reduced into a copy, so a writeable array of
+    the caller's is never aliased.
     """
     a = np.asarray(x, dtype=np.int64)
     if a.flags.writeable or (a.size and (a.min() < 0 or a.max() >= p)):
@@ -386,11 +386,15 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
         if r == rows:
             break
         nz = np.flatnonzero(work[r:, j])
-        vals = work[r + nz, j] % p
-        keep = vals != 0
-        nz, vals = nz[keep], vals[keep]
         if nz.size == 0:
             continue
+        vals = work[r + nz, j] % p
+        if not vals.all():
+            # multiples of p are zeros that were left unreduced
+            keep = np.flatnonzero(vals)
+            if keep.size == 0:
+                continue
+            nz, vals = nz[keep], vals[keep]
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
