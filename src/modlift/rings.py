@@ -371,13 +371,10 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
     """In-place row echelon form; pivots restricted to the first pivot_cols
     columns.  Row order is deterministic: first entry nonzero mod p wins.
 
-    work must start with entries in [0, p).  Reduction is delayed: a column
-    is reduced only at the entries the pivot search reads, and a pivot row
-    as a whole when it is chosen, so the pivot rows end up in [0, p) and
-    zero left of their pivots.  The row update subtracts products of two
-    values in [0, p) without reducing, so the rows below the rank hold
-    unreduced entries of absolute value below p + rank * (p-1)^2, which is
-    far inside int64 for p <= PRIME_CAP at any rank that fits in memory.
+    work must start with entries in [0, p).  Reduction is delayed (see the
+    module docstring for the int64 bound): the pivot rows end up in [0, p)
+    and zero left of their pivots, and the rows below the rank are left
+    unreduced.
     """
     rows = work.shape[0]
     pivots = []
