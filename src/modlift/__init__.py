@@ -9,7 +9,6 @@ from .rings import (
     PolyFp,
     PolyInt,
     PrimeCtx,
-    UnknownLayout,
     binom_div_p,
     merge_kernel_element,
     nullspace,

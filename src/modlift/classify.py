@@ -68,37 +68,25 @@ class ClassificationVerdict:
 # ---------------------------------------------------------------------------
 # canonical witness representations
 
-_X_BLOCK = [[0, 1], [1, 1]]  # a non-central unit of M_2(F_2) with x^2 + x + 1 = 0
+# the 2x2 blocks over F_2 the witnesses are assembled from; x is a
+# non-central unit of M_2(F_2) with x^2 + x + 1 = 0
+_BLOCKS = {
+    "0": np.array([[0, 0], [0, 0]]),
+    "1": np.array([[1, 0], [0, 1]]),
+    "x": np.array([[0, 1], [1, 1]]),
+    "x2": np.array([[1, 1], [1, 0]]),
+}
 
 
-def _block4(blocks) -> Mat:
-    """Assemble a 2x2 grid of 2x2 blocks over F_2."""
-    m = np.zeros((4, 4), dtype=np.int64)
-    for (r, c), b in blocks.items():
-        m[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = np.array(b)
-    return Mat(2, m)
-
-
-def _block6(symbols) -> Mat:
-    """Assemble a 3x3 grid of {0, 1, x, x^2} blocks over F_2."""
-    eye = [[1, 0], [0, 1]]
-    zero = [[0, 0], [0, 0]]
-    x = _X_BLOCK
-    xx = [[1, 1], [1, 0]]
-    lut = {"0": zero, "1": eye, "x": x, "x2": xx}
-    m = np.zeros((6, 6), dtype=np.int64)
-    for r in range(3):
-        for c in range(3):
-            m[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = np.array(lut[symbols[r][c]])
-    return Mat(2, m)
+def _blocks(grid) -> Mat:
+    """Assemble a square grid of named 2x2 blocks over F_2."""
+    return Mat(2, np.block([[_BLOCKS[name] for name in row] for row in grid]))
 
 
 def klein_witness_rep() -> Representation:
     """The 4-dimensional representation of C2 x C2 that does not lift mod 4."""
-    eye = [[1, 0], [0, 1]]
-    zero = [[0, 0], [0, 0]]
-    sigma = _block4({(0, 0): eye, (0, 1): eye, (1, 0): zero, (1, 1): eye})
-    tau = _block4({(0, 0): eye, (0, 1): _X_BLOCK, (1, 0): zero, (1, 1): eye})
+    sigma = _blocks([["1", "1"], ["0", "1"]])
+    tau = _blocks([["1", "x"], ["0", "1"]])
     pres, _ = elementary_abelian(2, 2)
     rep = Representation(PrimeCtx(2), pres, (sigma, tau), 4)
     validate_rep(rep)
@@ -112,8 +100,8 @@ def quaternion_witness_rep() -> Representation:
     it as liftable (the certificate re-verifies exactly), so verdicts built
     on it carry `certified=False`.
     """
-    j = _block6([["0", "0", "1"], ["1", "0", "1"], ["0", "1", "1"]])
-    k = _block6([["0", "x", "1"], ["x", "x2", "x"], ["x2", "0", "x"]])
+    j = _blocks([["0", "0", "1"], ["1", "0", "1"], ["0", "1", "1"]])
+    k = _blocks([["0", "x", "1"], ["x", "x2", "x"], ["x2", "0", "x"]])
     pres, _ = generalized_quaternion(8)
     rep = Representation(PrimeCtx(2), pres, (j, k), 6)
     validate_rep(rep)

@@ -111,7 +111,10 @@ class FiniteGroup:
         gen_indices: Optional[tuple] = None,
         name: Optional[str] = None,
     ):
-        t = np.array(table, dtype=np.int64)
+        # a read-only int64 table is kept as it is; anything else is copied
+        t = table
+        if not (isinstance(t, np.ndarray) and t.dtype == np.int64 and not t.flags.writeable):
+            t = np.array(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise GroupAuditError("table must be square")
         n = t.shape[0]
@@ -126,8 +129,6 @@ class FiniteGroup:
         self.table = t
         self.inverse = self._audit()
         self.orders = self._element_orders()
-        if self.orders[0] != 1:
-            raise GroupAuditError("identity must have order 1")
         self.presentation = presentation
         self.gen_indices = tuple(gen_indices) if gen_indices is not None else None
         self.name = name
@@ -135,7 +136,7 @@ class FiniteGroup:
             if self.gen_indices is None or len(self.gen_indices) != presentation.num_gens:
                 raise GroupAuditError("presentation requires realized generator indices")
             for w in presentation.relators:
-                if self.eval_word(w, self.gen_indices) != 0:
+                if word_value(w, self.gen_indices, 0, self.mul, self.inv_of) != 0:
                     raise GroupAuditError(f"relator {w} does not hold in the table")
 
     def _audit(self) -> np.ndarray:
@@ -165,18 +166,18 @@ class FiniteGroup:
         return inv
 
     def _element_orders(self) -> np.ndarray:
+        """The order of x is the least divisor d of |G| with x^d = 1; the
+        powers of all elements still open are taken at once over the table."""
         n, t = self.order, self.table
         orders = np.zeros(n, dtype=np.int64)
-        orders[0] = 1
-        cur = np.arange(n)
-        k = 1
-        while (orders == 0).any():
-            k += 1
-            cur = t[cur, np.arange(n)]
-            done = (cur == 0) & (orders == 0)
-            orders[done] = k
-            if k > n:
-                raise GroupAuditError("element order exceeds group order")
+        for d in [d for d in range(1, n + 1) if n % d == 0]:
+            todo = np.flatnonzero(orders == 0)
+            if todo.size == 0:
+                break
+            powers = rings.power(todo, d, np.zeros_like(todo), lambda a, b: t[a, b])
+            orders[todo[powers == 0]] = d
+        if not orders.all():
+            raise GroupAuditError("element order does not divide the group order")
         orders.flags.writeable = False
         return orders
 
@@ -193,13 +194,6 @@ class FiniteGroup:
         if k < 0:
             a, k = self.inv_of(a), -k
         return rings.power(a, k, 0, self.mul)
-
-    def eval_word(self, word: Word, gen_elems: Sequence[int]) -> int:
-        acc = 0
-        for g, e in word:
-            x = gen_elems[g]
-            acc = self.mul(acc, x if e == 1 else self.inv_of(x))
-        return acc
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -283,7 +277,9 @@ def _metacyclic(m: int, k: int, r: int, t: int, pres: Presentation, gens: tuple,
     table = i1 + t * (j >= k) + i2 * r_pow[j1]
     table %= m
     table += m * (j % k)
-    return pres, FiniteGroup(table.reshape(m * k, m * k), pres, gens, name=name)
+    table = table.reshape(m * k, m * k)
+    table.flags.writeable = False
+    return pres, FiniteGroup(table, pres, gens, name=name)
 
 
 def cyclic_group(n: int) -> tuple:
@@ -386,6 +382,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name=None) -> FiniteGroup:
     _check_order(n1 * n2)
     # (a1, b1) * (a2, b2) at [a1, b1, a2, b2], element (a, b) at index a*n2 + b
     table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(n1 * n2, -1)
+    table.flags.writeable = False
     pres = gens = None
     if g1.presentation is not None and g2.presentation is not None:
         p1, p2 = g1.presentation, g2.presentation
@@ -431,6 +428,22 @@ def extend_hom(g: FiniteGroup, gen_images: Sequence, one, mul) -> Optional[list]
     return images
 
 
+def word_value(word: Word, images: Sequence, one, mul, inv):
+    """The value of word with images[g] as the image of generator g, in the
+    target with identity one, product mul and inverse inv; each inverted
+    generator is inverted once."""
+    acc = one
+    invs = {}
+    for g, e in word:
+        if e == 1:
+            acc = mul(acc, images[g])
+        else:
+            if g not in invs:
+                invs[g] = inv(images[g])
+            acc = mul(acc, invs[g])
+    return acc
+
+
 def sylow(g: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup by iterative p-element closure, deterministic scan.
 
@@ -462,18 +475,11 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
 
 
 def transversal(g: FiniteGroup, h: Subgroup) -> list:
-    """Left-coset representatives t_i, smallest element index per coset."""
+    """Left-coset representatives t_i, smallest element index per coset, in
+    ascending order: the minima of the cosets xH over all x."""
     if h.parent is not g:
         raise NotASubgroup("subgroup belongs to a different parent")
-    seen = set()
-    reps = []
-    for x in range(g.order):
-        if x in seen:
-            continue
-        reps.append(x)
-        for s in h.elements:
-            seen.add(g.mul(x, s))
-    return reps
+    return np.unique(g.table[:, h.elements].min(axis=1)).tolist()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -140,22 +140,11 @@ class ThetaClass:
     is_zero: bool
 
 
-def _ideal_rows(f: GroupAlgebraElement, h: GroupAlgebraElement) -> np.ndarray:
-    """Spanning rows of f*k[G] + k[G]*h: all f e_x and e_x h."""
-    g, mod = f.group, f.mod
-    rows = []
-    for x in range(g.order):
-        ex = GroupAlgebraElement.basis(g, mod, x)
-        rows.append((f * ex).coeffs)
-        rows.append((ex * h).coeffs)
-    return np.array(rows, dtype=np.int64)
-
-
-def _reduce_against(vec: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    out = vec % p
-    for r, j in enumerate(pivots):
-        if out[j]:
-            out = (out - out[j] * basis[r]) % p
+def _translates(table: np.ndarray, a: GroupAlgebraElement) -> np.ndarray:
+    """Row x is a's coefficients moved along table's row x, out[x, table[x, y]]
+    = a[y]: e_x a for the group's table, a e_x for its transpose."""
+    out = np.zeros(table.shape, dtype=np.int64)
+    out[np.arange(len(table))[:, None], table] = a.coeffs
     return out
 
 
@@ -190,9 +179,11 @@ def theta(
     if (prod.coeffs % p).any():
         raise AssertionError("internal error: product of lifts not divisible by p")
     u = GroupAlgebraElement(g, p, prod.coeffs // p)
-    basis, pivots = rref(_ideal_rows(f, h), p)
-    rep_coeffs = _reduce_against(u.coeffs, basis, pivots, p)
-    representative = GroupAlgebraElement(g, p, rep_coeffs)
+    # spanning rows of f F_p[G] + F_p[G] h: all f e_x and e_x h
+    basis, pivots = rref(np.vstack([_translates(g.table.T, f), _translates(g.table, h)]), p)
+    # an rref row is 1 at its pivot and 0 at every other pivot column, so
+    # the reduction against all rows at once is one product
+    representative = GroupAlgebraElement(g, p, u.coeffs - u.coeffs[pivots] @ basis)
     basis = basis.copy()
     basis.flags.writeable = False
     return ThetaClass(
@@ -243,16 +234,13 @@ def q_polynomial(ctx: PrimeCtx, n: int) -> PolyFp:
     return PolyFp(p, coeffs)
 
 
-def module_of_quotient(
-    g: FiniteGroup, h: GroupAlgebraElement, prefer_unipotent_basis: bool = True
-) -> Representation:
+def module_of_quotient(g: FiniteGroup, h: GroupAlgebraElement) -> Representation:
     """The left module F_p[G] / F_p[G] h as explicit generator matrices.
 
     For a cyclic p-group with h = (1-s)^d the basis {(1-s)^i : i < d} is
     used, so the generator acts by the readable unipotent matrix I - N with
-    N the subdiagonal shift (disable via prefer_unipotent_basis to exercise
-    the generic path).  Otherwise the basis is the lexicographically first
-    complement of the ideal's row space.
+    N the subdiagonal shift.  Otherwise the basis is the lexicographically
+    first complement of the ideal's row space.
     """
     if h.is_zero():
         raise ZeroElement("quotient by the zero element is not a module witness")
@@ -266,42 +254,28 @@ def module_of_quotient(
     order = g.order
     while order % p == 0:
         order //= p
-    is_cyclic_p_group = order == 1 and g.is_cyclic()
-    # the unipotent basis {(1-s)^i} needs (1-s) nilpotent, i.e. a cyclic p-group
-    if (
-        prefer_unipotent_basis
-        and is_cyclic_p_group
-        and len(g.gen_indices) == 1
-        and g.order_of(g.gen_indices[0]) == g.order
-    ):
+    # the unipotent basis {(1-s)^i} needs (1-s) nilpotent: a p-group that s generates
+    if order == 1 and len(g.gen_indices) == 1 and g.order_of(g.gen_indices[0]) == g.order:
         s = one_minus_generator(g, p)
         acc = GroupAlgebraElement.one(g, p)
         for d in range(1, g.order + 1):
             acc = acc * s
             if acc == h:
-                m = np.eye(d, dtype=np.int64)
-                for i in range(d - 1):
-                    m[i + 1, i] = p - 1
+                m = np.eye(d, dtype=np.int64) - np.eye(d, k=-1, dtype=np.int64)
                 rep = Representation(ctx, g.presentation, (Mat(p, m),), d)
                 validate_rep(rep)
                 return rep
 
-    rows = []
-    for x in range(g.order):
-        rows.append((GroupAlgebraElement.basis(g, p, x) * h).coeffs)
-    basis, pivots = rref(np.array(rows, dtype=np.int64), p)
-    pivot_set = set(pivots)
-    free = [j for j in range(g.order) if j not in pivot_set]
+    basis, pivots = rref(_translates(g.table, h), p)
+    free = np.setdiff1d(np.arange(g.order), pivots)
     dim = len(free)
     mats = []
     for gen_elem in g.gen_indices:
-        m = np.zeros((dim, dim), dtype=np.int64)
-        for col, y in enumerate(free):
-            vec = np.zeros(g.order, dtype=np.int64)
-            vec[g.mul(gen_elem, y)] = 1
-            red = _reduce_against(vec, basis, pivots, p)
-            m[:, col] = red[free]
-        mats.append(Mat(p, m))
+        # row i is the image e_{gen y} of the basis vector e_y, y = free[i]
+        images = np.zeros((dim, g.order), dtype=np.int64)
+        images[np.arange(dim), g.table[gen_elem, free]] = 1
+        reduced = (images - images[:, pivots] @ basis) % p
+        mats.append(Mat(p, reduced[:, free].T))
     rep = Representation(ctx, g.presentation, tuple(mats), dim)
     validate_rep(rep)
     return rep

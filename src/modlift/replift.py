@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Error
-from .groups import FiniteGroup, Presentation, Subgroup, Word, extend_hom, transversal
+from .groups import FiniteGroup, Presentation, Subgroup, Word, extend_hom, transversal, word_value
 from .rings import (
     AffineSystem,
     Consistent,
@@ -44,7 +44,6 @@ from .rings import (
     NotInKernel,
     PrimeCtx,
     Singular,
-    UnknownLayout,
     matmul_mod,
     merge_kernel_element,
     solve_affine,
@@ -135,16 +134,7 @@ class LiftVerdict:
 
 def eval_word(mats: Sequence[Mat], word: Word, mod: int, n: int) -> Mat:
     """The value of word over Z/mod, with mats[g] as the image of generator g."""
-    acc = Mat.identity(mod, n)
-    invs = {}
-    for g, e in word:
-        if e == 1:
-            acc = acc @ mats[g]
-        else:
-            if g not in invs:
-                invs[g] = mats[g].inv()
-            acc = acc @ invs[g]
-    return acc
+    return word_value(word, mats, Mat.identity(mod, n), operator.matmul, Mat.inv)
 
 
 def _generator_inverses(rep: Representation) -> list:
@@ -254,15 +244,17 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     """Assemble the affine system over F_p whose solutions are the lifts.
 
     One n^2-row block per relator; unknowns laid out by (generator,
-    row-major entry).  Each relator is walked once, and generator g's block
-    is X^T Y for the rows X_t = e_t v_t and Y_t = v_t^-1 stacked over the
-    letters t of g (see the module docstring).  The product is taken in
-    float64 over chunks of _CHUNK letters and reduced mod p after each, so
-    its sums stay below _CHUNK * (p-1)^2 < 2^53, where float64 is exact for
-    every prime up to PRIME_CAP; no integer fallback is needed.  The same
-    walk gives each relator's defect E_w.  A singular generator, a relator
-    that fails mod p (both with `validate_rep`'s messages) and, before any
-    allocation, a system over MAX_SYSTEM_BYTES raise InvalidRepresentation.
+    row-major entry), so column j always means the same matrix entry and
+    certificates stay auditable.  Each relator is walked once, and
+    generator g's block is X^T Y for the rows X_t = e_t v_t and Y_t =
+    v_t^-1 stacked over the letters t of g (see the module docstring).  The
+    product is taken in float64 over chunks of _CHUNK letters and reduced
+    mod p after each, so its sums stay below _CHUNK * (p-1)^2 < 2^53, where
+    float64 is exact for every prime up to PRIME_CAP; no integer fallback
+    is needed.  The same walk gives each relator's defect E_w.  A singular
+    generator, a relator that fails mod p (both with `validate_rep`'s
+    messages) and, before any allocation, a system over MAX_SYSTEM_BYTES
+    raise InvalidRepresentation.
     """
     p, p2 = rep.ctx.p, rep.ctx.p2
     n = rep.n
@@ -296,7 +288,7 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     # over to the system without a copy
     matrix.flags.writeable = False
     rhs.flags.writeable = False
-    system = AffineSystem(p, matrix.reshape(rows, cols), rhs.reshape(rows), UnknownLayout(k, n))
+    system = AffineSystem(p, matrix.reshape(rows, cols), rhs.reshape(rows))
     return LinearizedSystem(system=system, defects=tuple(defects), lifts=tuple(naive_lifts))
 
 
@@ -391,30 +383,24 @@ def induce(
         raise NotASubgroupError("subgroup belongs to a different parent group")
     if g.presentation is None or g.gen_indices is None:
         raise UnrealizedPresentation("target group does not realize a presentation")
-    hom = list(hom)
-    if len(hom) != h_group.order or sorted(hom) != list(sub.elements):
+    hom = np.asarray(hom, dtype=np.int64)
+    if hom.shape != (h_group.order,) or not np.array_equal(np.sort(hom), sub.elements):
         raise NotASubgroupError("hom must biject the abstract group onto the subgroup")
-    for a in range(h_group.order):
-        for b in range(h_group.order):
-            if hom[h_group.mul(a, b)] != g.mul(hom[a], hom[b]):
-                raise NotASubgroupError("hom is not a homomorphism")
-    inv_hom = {gx: ax for ax, gx in enumerate(hom)}
-    mats_h = _realize_all_elements(rep_h, h_group)
-    reps = transversal(g, sub)
-    r = len(reps)
-    n = rep_h.n
-    p = rep_h.ctx.p
+    if not np.array_equal(hom[h_group.table], g.table[np.ix_(hom, hom)]):
+        raise NotASubgroupError("hom is not a homomorphism")
+    inv_hom = np.full(g.order, -1)
+    inv_hom[hom] = np.arange(h_group.order)
+    mats_h = np.stack([m.a for m in _realize_all_elements(rep_h, h_group)])
+    reps = np.array(transversal(g, sub))
+    r, n = len(reps), rep_h.n
     big = r * n
     out = []
     for g0 in g.gen_indices:
-        m = np.zeros((big, big), dtype=np.int64)
-        for i, ti in enumerate(reps):
-            ti_inv = g.inv_of(ti)
-            for j, tj in enumerate(reps):
-                z = g.mul(g.mul(ti_inv, g0), tj)
-                if z in inv_hom:
-                    m[i * n : (i + 1) * n, j * n : (j + 1) * n] = mats_h[inv_hom[z]].a
-        out.append(Mat(p, m))
+        # z[i, j] = t_i^-1 g0 t_j as an element of h_group, -1 outside sub
+        z = inv_hom[g.table[g.table[g.inverse[reps], g0][:, None], reps]]
+        blocks = mats_h[z]
+        blocks[z < 0] = 0
+        out.append(Mat(rep_h.ctx.p, blocks.transpose(0, 2, 1, 3).reshape(big, big)))
     return Representation(rep_h.ctx, g.presentation, tuple(out), big)
 
 
@@ -432,14 +418,7 @@ def regular_representation(g: FiniteGroup, ctx: PrimeCtx) -> Representation:
     """Left-regular permutation representation on the group's presentation."""
     if g.presentation is None or g.gen_indices is None:
         raise UnrealizedPresentation("group does not realize a presentation")
-    n = g.order
-    mats = []
-    for x in g.gen_indices:
-        m = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            m[g.mul(x, j), j] = 1
-        mats.append(Mat(ctx.p, m))
-    return Representation(ctx, g.presentation, tuple(mats), n)
+    return permutation_matrix_rep(ctx, g.presentation, [g.table[x] for x in g.gen_indices])
 
 
 def permutation_matrix_rep(ctx: PrimeCtx, pres: Presentation, perms: Sequence[tuple]) -> Representation:
@@ -450,8 +429,7 @@ def permutation_matrix_rep(ctx: PrimeCtx, pres: Presentation, perms: Sequence[tu
     mats = []
     for perm in perms:
         m = np.zeros((n, n), dtype=np.int64)
-        for j, i in enumerate(perm):
-            m[i, j] = 1
+        m[np.asarray(perm), np.arange(n)] = 1
         mats.append(Mat(ctx.p, m))
     return Representation(ctx, pres, tuple(mats), n)
 

@@ -176,12 +176,6 @@ class Mat:
         self._check_compatible(other)
         return Mat(self.mod, (self.a - other.a) % self.mod)
 
-    def __neg__(self) -> "Mat":
-        return Mat(self.mod, (-self.a) % self.mod)
-
-    def scale(self, k: int) -> "Mat":
-        return Mat(self.mod, (self.a * (k % self.mod)) % self.mod)
-
     def __pow__(self, k: int) -> "Mat":
         base = self.inv() if k < 0 else self
         return power(base, abs(k), Mat.identity(self.mod, self.n), operator.matmul)
@@ -268,56 +262,23 @@ def merge_kernel_element(x: Mat, p: int) -> Mat:
 # affine systems over F_p
 
 
-@dataclass(frozen=True)
-class UnknownLayout:
-    """Column semantics of a linearized system.
-
-    Unknowns are the entries of one n x n correction matrix per generator,
-    ordered by (generator index, row-major entry).  Fixing this layout keeps
-    certificates auditable: column j always means the same matrix entry.
-    """
-
-    num_gens: int
-    n: int
-
-    @property
-    def cols(self) -> int:
-        return self.num_gens * self.n * self.n
-
-    def col(self, gen: int, row: int, colm: int) -> int:
-        n = self.n
-        if not (0 <= gen < self.num_gens and 0 <= row < n and 0 <= colm < n):
-            raise IndexError("unknown (gen, row, col) out of range")
-        return gen * n * n + row * n + colm
-
-    def describe(self, j: int) -> tuple:
-        n = self.n
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range")
-        gen, rest = divmod(j, n * n)
-        return (gen, *divmod(rest, n))
-
-
 class AffineSystem:
     """A x = b over F_p, rows are scalar equations."""
 
-    __slots__ = ("p", "matrix", "rhs", "layout")
+    __slots__ = ("p", "matrix", "rhs")
 
-    def __init__(self, p: int, matrix, rhs, layout: Optional[UnknownLayout] = None):
+    def __init__(self, p: int, matrix, rhs):
         a = _owned_reduced(matrix, p)
         b = _owned_reduced(rhs, p)
         if a.ndim != 2:
             raise ValueError("coefficient matrix must be 2-dimensional")
         if b.shape != (a.shape[0],):
             raise ValueError("rhs length must equal the number of rows")
-        if layout is not None and layout.cols != a.shape[1]:
-            raise ValueError("layout does not cover the unknown columns")
         a.flags.writeable = False
         b.flags.writeable = False
         self.p = p
         self.matrix = a
         self.rhs = b
-        self.layout = layout
 
     @property
     def rows(self) -> int:
@@ -676,14 +637,6 @@ class PolyInt:
 
     def reduce(self, p: int) -> "PolyFp":
         return PolyFp(p, self.coeffs)
-
-    def eval_mat(self, m: Mat) -> Mat:
-        """Horner evaluation at a square matrix over its own ring."""
-        acc = Mat.zeros(m.mod, m.n)
-        ident = Mat.identity(m.mod, m.n)
-        for c in reversed(self.coeffs):
-            acc = acc @ m + ident.scale(c)
-        return acc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyInt) and self.coeffs == other.coeffs

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from modlift.classify import (
@@ -11,8 +14,10 @@ from modlift.classify import (
     quaternion_witness_rep,
     witness_for_group,
 )
+from modlift.formats import format_representation
 from modlift.groups import (
     cyclic_group,
+    dihedral,
     elementary_abelian,
     find_subgroup_witness,
     generalized_quaternion,
@@ -20,6 +25,7 @@ from modlift.groups import (
     semidirect_c3_c2n,
     sylow,
 )
+from modlift.obstruction import GroupAlgebraElement, module_of_quotient, one_minus_generator, theta
 from modlift.replift import Representation, check_lift, validate_rep
 from modlift.rings import Mat, PrimeCtx
 
@@ -244,3 +250,45 @@ def test_c3c3_witness_matrices_pinned():
     s12, s13 = rep.gen_mats
     assert s12.rows() == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     assert s13.rows() == ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+
+
+# --- output digest ------------------------------------------------------------------
+
+
+def _hash_quotient(d, g, f, h):
+    t = theta(g, f, h)
+    d.update(t.representative.coeffs.tobytes() + t.quotient_basis.tobytes())
+    d.update(format_representation(module_of_quotient(g, h)).encode())
+
+
+# A change that alters a verdict, witness, certificate, refutation, theta
+# class or quotient module on purpose updates this digest and says why.
+OUTPUTS_DIGEST = "3b7d0716f922a1aa523f567a860e989409bd4450e60f0f531b6b61cc29947667"
+
+
+def test_outputs_digest_pinned():
+    """sha256 over every catalog classification (verdict, tag, bad subgroup,
+    witness text, refutation or certificate bytes) and over theta and
+    module_of_quotient on the zero-product pairs of 30 seeded elements of
+    F_2[D8] and on (1-s)^4, e_s (1-s)^5 over C9."""
+    d = hashlib.sha256()
+    for entry, v in catalog_classifications():
+        d.update(repr((entry.name, v.liftable, v.tag, v.bad, v.witness_level, v.certified)).encode())
+        if v.witness is not None:
+            d.update(format_representation(v.witness).encode())
+            w = v.witness_verdict
+            if w.refutation is not None:
+                d.update(np.asarray(w.refutation).tobytes())
+            for m in w.certificate.mats if w.certificate is not None else ():
+                d.update(m.a.tobytes())
+    _, d8 = dihedral(8)
+    rng = np.random.default_rng(12)
+    elements = [GroupAlgebraElement(d8, 2, rng.integers(0, 2, 8)) for _ in range(30)]
+    pairs = [(f, h) for f in elements for h in elements if not h.is_zero() and (f * h).is_zero()]
+    assert len(pairs) == 61
+    for f, h in pairs:
+        _hash_quotient(d, d8, f, h)
+    _, c9 = cyclic_group(9)
+    s = one_minus_generator(c9, 3)
+    _hash_quotient(d, c9, s ** 4, GroupAlgebraElement.basis(c9, 3, c9.gen_indices[0]) * s ** 5)
+    assert d.hexdigest() == OUTPUTS_DIGEST

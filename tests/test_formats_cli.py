@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -401,7 +402,13 @@ _REGISTRY_ORDER = [
 
 def test_cli_reproduce_json(capsys):
     rc = main(["reproduce", "--json"])
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # recorded with the three known-red rows below; any change to an item's
+    # wording or verdict shows here
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5004a2fb0f98ac1ff69524396c0efde226a22c812900fcb2b8b5a1b711e300d4"
+    )
+    payload = json.loads(out)
     assert sorted(payload) == ["command", "items", "status"]
     assert [item["item"] for item in payload["items"]] == _REGISTRY_ORDER
     assert all(sorted(item) == ["detail", "item", "status"] for item in payload["items"])

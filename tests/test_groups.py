@@ -1,5 +1,7 @@
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import time_limit
@@ -27,6 +29,7 @@ from modlift.groups import (
     semidirect_c3_c2n,
     sylow,
     transversal,
+    word_value,
     wpow,
 )
 
@@ -84,48 +87,90 @@ def test_family_errors():
 
 
 # sha256 of table.tobytes(), gen_indices, sha256 of repr(relators) (first 16
-# hex digits) and name, per family spec.  CxC 4 1 has C4's table, t being the identity.
+# hex digits), name, and the first 16 hex digits of the sha256 of
+# orders.tobytes() and of inverse.tobytes(), per family spec.  CxC 4 1 has
+# C4's table, t being the identity.
 PINNED_TABLES = [
-    ("C 1", "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", (0,), "3e599ccf3e9f4436", "C1"),
-    ("C 2", "db7f8e2aa97f8d230fc0a6c6d68184ecfee02f4bd2e94dcb331c0d3d54ca5fe8", (1,), "23f8ce2aab396ef7", "C2"),
-    ("C 9", "043e711f8858a640cf58fef5a260eb5747e6d107bc9f290497ad421f5d18960e", (1,), "55352d90ae493058", "C9"),
-    ("C 63", "326b52aa880dc6ca913164fad48d64c4217c1a4dbd9ffd8b600f2cbe19acb8ea", (1,), "1211e4076106e783", "C63"),
-    ("C 64", "6d8988074a34eebaeed944798d4fa44b21266b91c05575e8c036efb936a699f9", (1,), "ac45b9c3cf31114e", "C64"),
-    ("C 1024", "3f88b74c5a5bc4d204ea05d331cd49dbef608fe30eaaab37e0bcb0e36a1180d2", (1,), "756d061e409746e7", "C1024"),
-    ("CxC 1 4", "6fc74d0f65895396cdb611ac0cfc55c286c78513554e8e9d99112d8f209a21b3", (0, 1), "28abb00b3684a501", "C1xC4"),
-    ("CxC 2 8", "0051e2313e404097630f86cceeb3c3a4e80bce79b71fe47f4f79c9ab24fda92b", (8, 1), "3af707ec262b4a26", "C2xC8"),
-    ("CxC 3 6", "296f59fb90d9e8d8054a1778a1d7c1f02d8b36c5b3172f29c13016ed595dd31d", (6, 1), "204b746295508bcb", "C3xC6"),
-    ("CxC 5 7", "1d7e900bb9ec64aee0a3af8f802a30a7e175a5638b8d2fbe3c0887020bfbc436", (7, 1), "cef9070c7b10115e", "C5xC7"),
-    ("CxC 64 16", "bf8581089ba804752064ed53a7df6852c19b606569a67bcc00cdebe8d89d8681", (16, 1), "74fb02aec5931d43", "C64xC16"),
-    ("D 4", "cd18db5001222f5aa2e67a2e1ec7bedb6c97259bc407ac0536383a96da99ee0d", (1, 2), "e29618e1d93e4622", "D4"),
-    ("D 8", "b4fddc32be007c809e52f6d64b92c1beb18cd7b8a2b30d3cd5cfc0e7973f7470", (1, 4), "cef843c6b6acd96a", "D8"),
-    ("D 64", "2550877b5a11a1dda1cbc8a86b9c2de9062cad16b16b9322367f34870a3e0056", (1, 32), "e9e86439b99ff383", "D64"),
-    ("D 1024", "62847966764c1f54eb7821bffa404803883563ceca0abf796fc6910286a7f64b", (1, 512), "4cf722c15f72f4a4", "D1024"),
-    ("Q 8", "8e22e58cdfd461b9dc9b0cb46006582407639e90c31c9bad0c84ef9dd13d74c8", (1, 4), "34a859a02eca8a97", "Q8"),
-    ("Q 16", "5cbc93d715d018c5af213a9c80ea5f97c16cfb7c2500fe5e1401e0c6a5de1fb8", (1, 8), "177fe358636eb1ce", "Q16"),
-    ("Q 64", "ff2d3e1903a1c85aa099e48b912419df21456399ad0823571ea8f36b97294ca8", (1, 32), "6631ebb38247534d", "Q64"),
-    ("Q 1024", "858113a7b6be75b4de723bae387ee5fbef67b3eeef86be7597116d5c251a0f35", (1, 512), "36b6559281a43f04", "Q1024"),
-    ("C3semi 2", "41602e9e721e6f7f73013176885f12bb455e0248b9ce1fc261e920a4728f196b", (1, 3), "0eeccbc14d4358c2", "C3:C2"),
-    ("C3semi 8", "228f7bcca7f2f256715b68e8a553b695da195ee2f08b0b7b5b6c92ecebe90af5", (1, 3), "8a6f5c6414c3e897", "C3:C8"),
-    ("C3semi 256", "c8d079f28c980f36780766bea32145009d7d4e437f6795aee4472a92e2d820b9", (1, 3), "93658c4ddb596421", "C3:C256"),
-    ("CxC 4 1", "6fc74d0f65895396cdb611ac0cfc55c286c78513554e8e9d99112d8f209a21b3", (1, 0), "1ecd59a26a4c0e86", "C4xC1"),
+    ("C 1", "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", (0,), "3e599ccf3e9f4436", "C1",
+     "7c9fa136d4413fa6", "af5570f5a1810b7a"),
+    ("C 2", "db7f8e2aa97f8d230fc0a6c6d68184ecfee02f4bd2e94dcb331c0d3d54ca5fe8", (1,), "23f8ce2aab396ef7", "C2",
+     "0c730b69905c5ef7", "9d34149fbd1fe777"),
+    ("C 9", "043e711f8858a640cf58fef5a260eb5747e6d107bc9f290497ad421f5d18960e", (1,), "55352d90ae493058", "C9",
+     "ba1acfca5febbd22", "a7c3817318ddb29a"),
+    ("C 63", "326b52aa880dc6ca913164fad48d64c4217c1a4dbd9ffd8b600f2cbe19acb8ea", (1,), "1211e4076106e783", "C63",
+     "f7617695fbedff1d", "35f8fc9658ad8a65"),
+    ("C 64", "6d8988074a34eebaeed944798d4fa44b21266b91c05575e8c036efb936a699f9", (1,), "ac45b9c3cf31114e", "C64",
+     "d79f14cd399c28d6", "d4671c54fcf69856"),
+    ("C 1024", "3f88b74c5a5bc4d204ea05d331cd49dbef608fe30eaaab37e0bcb0e36a1180d2", (1,), "756d061e409746e7", "C1024",
+     "443c4e1b2ee5b242", "a6d2b0a5bf7261f1"),
+    ("CxC 1 4", "6fc74d0f65895396cdb611ac0cfc55c286c78513554e8e9d99112d8f209a21b3", (0, 1), "28abb00b3684a501", "C1xC4",
+     "3b3182ed252ec651", "c037c842b1b6d83b"),
+    ("CxC 2 8", "0051e2313e404097630f86cceeb3c3a4e80bce79b71fe47f4f79c9ab24fda92b", (8, 1), "3af707ec262b4a26", "C2xC8",
+     "8a4d54288ae7cd63", "c39dcf1e2dbcd31d"),
+    ("CxC 3 6", "296f59fb90d9e8d8054a1778a1d7c1f02d8b36c5b3172f29c13016ed595dd31d", (6, 1), "204b746295508bcb", "C3xC6",
+     "3b822076af83bbfd", "16664ae0ff105df3"),
+    ("CxC 5 7", "1d7e900bb9ec64aee0a3af8f802a30a7e175a5638b8d2fbe3c0887020bfbc436", (7, 1), "cef9070c7b10115e", "C5xC7",
+     "915f5563462a56f3", "3029f55974db733e"),
+    ("CxC 64 16", "bf8581089ba804752064ed53a7df6852c19b606569a67bcc00cdebe8d89d8681", (16, 1), "74fb02aec5931d43", "C64xC16",
+     "4992b1e9e69ace48", "be334303d41f41dc"),
+    ("D 4", "cd18db5001222f5aa2e67a2e1ec7bedb6c97259bc407ac0536383a96da99ee0d", (1, 2), "e29618e1d93e4622", "D4",
+     "cce7d25d83a98535", "a1e03200f1f82ad2"),
+    ("D 8", "b4fddc32be007c809e52f6d64b92c1beb18cd7b8a2b30d3cd5cfc0e7973f7470", (1, 4), "cef843c6b6acd96a", "D8",
+     "b6c3d57e91c63f2e", "ccb57ba209b81a7c"),
+    ("D 64", "2550877b5a11a1dda1cbc8a86b9c2de9062cad16b16b9322367f34870a3e0056", (1, 32), "e9e86439b99ff383", "D64",
+     "f567d44ccd222c7b", "c2a99598d461da94"),
+    ("D 1024", "62847966764c1f54eb7821bffa404803883563ceca0abf796fc6910286a7f64b", (1, 512), "4cf722c15f72f4a4", "D1024",
+     "b1fb8b1a582dbaa8", "80b900b3b156402b"),
+    ("Q 8", "8e22e58cdfd461b9dc9b0cb46006582407639e90c31c9bad0c84ef9dd13d74c8", (1, 4), "34a859a02eca8a97", "Q8",
+     "abad15aa55310070", "67160723ead2d46d"),
+    ("Q 16", "5cbc93d715d018c5af213a9c80ea5f97c16cfb7c2500fe5e1401e0c6a5de1fb8", (1, 8), "177fe358636eb1ce", "Q16",
+     "5ead89757923c1ce", "67348da4eceb6e97"),
+    ("Q 64", "ff2d3e1903a1c85aa099e48b912419df21456399ad0823571ea8f36b97294ca8", (1, 32), "6631ebb38247534d", "Q64",
+     "cb4a8221d83f56f0", "df377a7adc998bbc"),
+    ("Q 1024", "858113a7b6be75b4de723bae387ee5fbef67b3eeef86be7597116d5c251a0f35", (1, 512), "36b6559281a43f04", "Q1024",
+     "9c6f00c1c734210a", "904e9c51a307cf9c"),
+    ("C3semi 2", "41602e9e721e6f7f73013176885f12bb455e0248b9ce1fc261e920a4728f196b", (1, 3), "0eeccbc14d4358c2", "C3:C2",
+     "51a1de5bddb9891c", "9ce675ac27d3af29"),
+    ("C3semi 8", "228f7bcca7f2f256715b68e8a553b695da195ee2f08b0b7b5b6c92ecebe90af5", (1, 3), "8a6f5c6414c3e897", "C3:C8",
+     "57e338c8832b6765", "121d9be4717207e8"),
+    ("C3semi 256", "c8d079f28c980f36780766bea32145009d7d4e437f6795aee4472a92e2d820b9", (1, 3), "93658c4ddb596421", "C3:C256",
+     "9bace1a98a22eff3", "0473700f4259cb3a"),
+    ("CxC 4 1", "6fc74d0f65895396cdb611ac0cfc55c286c78513554e8e9d99112d8f209a21b3", (1, 0), "1ecd59a26a4c0e86", "C4xC1",
+     "3b3182ed252ec651", "c037c842b1b6d83b"),
 ]
 
 
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
-    "spec, table_sha, gens, relators_sha, name", PINNED_TABLES, ids=[p[0] for p in PINNED_TABLES]
+    "spec, table_sha, gens, relators_sha, name, orders_sha, inverse_sha",
+    PINNED_TABLES,
+    ids=[p[0] for p in PINNED_TABLES],
 )
-def test_family_tables_pinned(spec, table_sha, gens, relators_sha, name):
+def test_family_tables_pinned(spec, table_sha, gens, relators_sha, name, orders_sha, inverse_sha):
     _, g = family_from_tokens(spec.split())
     assert hashlib.sha256(g.table.tobytes()).hexdigest() == table_sha
     assert g.gen_indices == gens
-    assert hashlib.sha256(repr(g.presentation.relators).encode()).hexdigest()[:16] == relators_sha
+    assert _sha16(repr(g.presentation.relators).encode()) == relators_sha
     assert g.name == name
+    assert g.orders.dtype == g.inverse.dtype == np.int64
+    assert _sha16(g.orders.tobytes()) == orders_sha
+    assert _sha16(g.inverse.tobytes()) == inverse_sha
 
 
 def test_family_build_speed():
     with time_limit(3):
         assert dihedral(4096)[1].order == 4096
+    # the family table is handed over read-only, so it is never copied
+    tracemalloc.start()
+    try:
+        dihedral(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4096 * 4096 * 8
     with time_limit(3):
         assert classify(semidirect_c3_c2n(10)[1]).tag == "C3semiC2n"
 
@@ -343,4 +388,4 @@ def test_word_utilities():
     assert winv(winv(w)) == w
     # a word times its inverse evaluates to the identity in any group
     _, g = semidirect_c3_c2n(1)
-    assert g.eval_word(wmul(w, winv(w)), g.gen_indices) == 0
+    assert word_value(wmul(w, winv(w)), g.gen_indices, 0, g.mul, g.inv_of) == 0

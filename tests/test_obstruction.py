@@ -186,8 +186,12 @@ def test_module_of_quotient_general_path_agrees():
     _, g = cyclic_group(9)
     h = one_minus_generator(g, 3) ** 5
     fast = module_of_quotient(g, h)
-    slow = module_of_quotient(g, h, prefer_unipotent_basis=False)
+    # e_s h spans the same left ideal (e_s is a unit) but is no power of
+    # (1 - s), so the quotient takes the generic complement basis
+    unit_h = GroupAlgebraElement.basis(g, 3, g.gen_indices[0]) * h
+    slow = module_of_quotient(g, unit_h)
     assert slow.n == fast.n
+    assert slow.gen_mats != fast.gen_mats
     validate_rep(slow)
     assert check_lift(slow).liftable == check_lift(fast).liftable == False
 

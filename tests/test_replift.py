@@ -1,3 +1,4 @@
+import operator
 import time
 import tracemalloc
 
@@ -7,13 +8,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import over_budget_rep, random_invertible, random_valid_instance
 from modlift import replift
+from modlift.classify import _bad_group_and_witness
+from modlift.formats import family_from_tokens
 from modlift.groups import (
     Presentation,
     Subgroup,
     cyclic_group,
     direct_product_cyclic,
     elementary_abelian,
+    extend_hom,
+    find_subgroup_witness,
     generalized_quaternion,
+    transversal,
     winv,
     wpow,
 )
@@ -179,7 +185,7 @@ def random_relator_rep(rng, p, n, k, length):
     ctx = PrimeCtx(p)
     conj = random_invertible(rng, p, n)
     perm = Mat(p, np.eye(n, dtype=np.int64)[rng.permutation(n)])
-    t = (conj @ perm @ conj.inv()).scale(int(rng.choice([1, -1])))
+    t = Mat(p, (conj @ perm @ conj.inv()).a * int(rng.choice([1, -1])))
     d = 1
     while not (t ** d).is_identity():
         d += 1
@@ -359,6 +365,50 @@ def test_induce_klein_to_c2xc4_not_liftable(klein_rep):
     assert ind.n == 8
     v = check_lift(ind)
     assert not v.liftable
+
+
+def reference_induce(rep_h, h_group, g, hom) -> tuple:
+    """(coset representatives, induced generator matrices) by the
+    element-by-element loops: the cosets x*hom found by a scan in ascending
+    index, and block (i, j) of g0's image rep_h(t_i^-1 g0 t_j) when that
+    element is in the image of hom, else zero."""
+    reps, seen = [], set()
+    for x in range(g.order):
+        if x not in seen:
+            reps.append(x)
+            seen.update(g.mul(x, s) for s in hom)
+    inv_hom = {gx: ax for ax, gx in enumerate(hom)}
+    n = rep_h.n
+    mats_h = extend_hom(h_group, rep_h.gen_mats, Mat.identity(rep_h.ctx.p, n), operator.matmul)
+    out = []
+    for g0 in g.gen_indices:
+        m = np.zeros((len(reps) * n, len(reps) * n), dtype=np.int64)
+        for i, ti in enumerate(reps):
+            for j, tj in enumerate(reps):
+                z = g.mul(g.mul(g.inv_of(ti), g0), tj)
+                if z in inv_hom:
+                    m[i * n : (i + 1) * n, j * n : (j + 1) * n] = mats_h[inv_hom[z]].a
+        out.append(Mat(rep_h.ctx.p, m))
+    return reps, tuple(out)
+
+
+# one spec per bad-subgroup kind of the classify-induced benchmark workload,
+# and a second Klein and Q8 embedding
+INDUCED_SPECS = ["D 16", "CxC 2 8", "Q 16", "Q 32", "CxC 3 6", "C 18", "C 27", "C 35", "C 63"]
+
+
+@pytest.mark.parametrize("spec", INDUCED_SPECS)
+def test_induce_matches_reference_loop(spec):
+    _, g = family_from_tokens(spec.split())
+    bad = find_subgroup_witness(g)
+    abstract, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
+    hom = extend_hom(abstract, bad.gens, 0, g.mul)
+    sub = Subgroup(g, tuple(hom))
+    reps, mats = reference_induce(rep_h, abstract, g, hom)
+    assert transversal(g, sub) == reps
+    ind = induce(rep_h, abstract, g, sub, hom)
+    assert ind.n == len(reps) * rep_h.n
+    assert ind.gen_mats == mats
 
 
 def test_induce_rejects_bad_hom():

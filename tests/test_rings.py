@@ -439,12 +439,6 @@ def test_poly_divmod_requires_monic():
         PolyInt([1, 0, 1]).divmod_exact(PolyInt([1, 2]))
 
 
-def test_poly_eval_mat_horner():
-    c = Mat(4, [[0, 3], [1, 3]])  # companion of t^2 + t + 1 over Z/4
-    val = PolyInt([1, 1, 1]).eval_mat(c)
-    assert val.is_zero()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6),
@@ -456,20 +450,6 @@ def test_poly_divmod_exact_recovers_factor(a, b):
     q, r = prod.divmod_exact(divisor)
     assert r.is_zero()
     assert q == PolyInt(a)
-
-
-def test_layout_round_trip():
-    from modlift.rings import UnknownLayout
-
-    lay = UnknownLayout(3, 4)
-    seen = set()
-    for g in range(3):
-        for r in range(4):
-            for c in range(4):
-                j = lay.col(g, r, c)
-                assert lay.describe(j) == (g, r, c)
-                seen.add(j)
-    assert seen == set(range(lay.cols))
 
 
 def test_matmul_object_fallback_near_prime_cap(rng):
