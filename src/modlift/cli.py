@@ -87,8 +87,8 @@ def cmd_check(args) -> int:
             flat = " ".join(str(int(v)) for v in verdict.refutation)
             out.append(f"REFUTE: {flat}")
             payload["refutation"] = [int(v) for v in verdict.refutation]
-            sysm = verdict.system.system
-            out.append(f"system: {sysm.rows} rows, {sysm.cols} cols over F_{sysm.p}")
+            cols = rep.num_gens * rep.n * rep.n
+            out.append(f"system: {len(verdict.refutation)} rows, {cols} cols over F_{rep.ctx.p}")
             out.append("verified: refutation ok")
         # check_lift re-checks the certificate or refutation exactly and
         # raises if that fails, so a verdict that reaches here is verified

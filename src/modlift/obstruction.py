@@ -75,12 +75,6 @@ class GroupAlgebraElement:
         self._check(other)
         return GroupAlgebraElement(self.group, self.mod, self.coeffs - other.coeffs)
 
-    def __neg__(self):
-        return GroupAlgebraElement(self.group, self.mod, -self.coeffs)
-
-    def scale(self, k: int):
-        return GroupAlgebraElement(self.group, self.mod, self.coeffs * (k % self.mod))
-
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         """Convolution through the multiplication table."""
         self._check(other)

@@ -118,14 +118,6 @@ class LiftVerdict:
     liftable: bool
     certificate: Optional[LiftCertificate] = None
     refutation: Optional[np.ndarray] = None
-    system: Optional[LinearizedSystem] = None
-
-    def refutation_checks_out(self) -> bool:
-        return (
-            self.refutation is not None
-            and self.system is not None
-            and self.system.system.checks_refutation(self.refutation)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +317,10 @@ def check_lift(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None)
         cert = _certificate_from_solution(rep, lin, result.particular)
         if not verify_certificate(rep, cert):
             raise AssertionError("internal error: solver certificate failed verification")
-        return LiftVerdict(liftable=True, certificate=cert, system=lin)
-    verdict = LiftVerdict(liftable=False, refutation=result.functional, system=lin)
-    if not verdict.refutation_checks_out():
+        return LiftVerdict(liftable=True, certificate=cert)
+    if not lin.system.checks_refutation(result.functional):
         raise AssertionError("internal error: refutation failed verification")
-    return verdict
+    return LiftVerdict(liftable=False, refutation=result.functional)
 
 
 # ---------------------------------------------------------------------------

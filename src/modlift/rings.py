@@ -2,16 +2,17 @@
 
 Dense square matrices over either modulus, Gaussian elimination with
 certificate-grade determinism, affine systems over F_p, and exact integer /
-mod-p polynomial arithmetic.  Affine systems over F_2 are eliminated on rows
-packed 64 bits to a word, with XOR and the same pivots as for odd p, so
-their certificates do not depend on the kernel.  Elimination over F_p on
-int64 rows delays reduction mod p to where a value is read: the entries the
-pivot search finds, the pivot row when it is chosen, and the right-hand
-sides left below the rank.  A row update subtracts products of two values
-in [0, p) unreduced, so an entry stays below p + rank * (p-1)^2 in absolute
-value, under 2^63 for p <= PRIME_CAP at any rank that fits in memory.
-Everything here is immutable after construction and safe to share between
-threads.
+mod-p polynomial arithmetic.  An affine system is eliminated once, each row
+keeping its multipliers, so a refutation is read off the same elimination.
+Over F_2 rows are packed 64 bits to a word and eliminated with XOR and the
+same pivots as for odd p, so certificates do not depend on the kernel.
+Over odd p, int64 rows are reduced mod p only where a value is read: the
+entries the pivot search finds, the pivot row when it is chosen, and the
+right-hand sides left below the rank.  A row update subtracts products of
+two values in [0, p) unreduced, so an entry stays below p + rank * (p-1)^2
+in absolute value, under 2^63 for p <= PRIME_CAP at any rank that fits in
+memory.  Everything here is immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -328,17 +329,19 @@ class Inconsistent:
 SolveResult = Union[Consistent, Inconsistent]
 
 
-def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
+def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
     """In-place row echelon form; pivots restricted to the first pivot_cols
     columns.  Row order is deterministic: first entry nonzero mod p wins.
 
-    work must start with entries in [0, p).  Reduction is delayed (see the
-    module docstring for the int64 bound): the pivot rows end up in [0, p)
-    and zero left of their pivots, and the rows below the rank are left
-    unreduced.
+    work must start with entries in [0, p).  Returns (pivots, perm, scales):
+    the original index of each row and each pivot's value before scaling.
+    The update skips the pivot's column, so each row keeps there its entry,
+    which is its multiplier mod p; pivot rows are reduced to [0, p) but not
+    zero left of their pivots.  Rows below the rank stay unreduced.
     """
     rows = work.shape[0]
-    pivots = []
+    pivots, scales = [], []
+    perm = np.arange(rows)
     r = 0
     for j in range(pivot_cols):
         if r == rows:
@@ -356,6 +359,7 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
+            perm[[r, i]] = perm[[i, r]]
         row = work[r]
         np.remainder(row, p, out=row)
         piv = int(vals[0])
@@ -364,10 +368,11 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> list:
         if nz.size > 1:
             # the old row r moved to row i and is zero in column j, so the
             # rows to update are those found by the scan after the first
-            work[r + nz[1:], j:] -= np.multiply.outer(vals[1:], row[j:])
+            work[r + nz[1:], j + 1 :] -= np.multiply.outer(vals[1:], row[j + 1 :])
         pivots.append(j)
+        scales.append(piv)
         r += 1
-    return pivots
+    return pivots, perm, scales
 
 
 def _back_eliminate(work: np.ndarray, p: int, pivots: list):
@@ -381,7 +386,9 @@ def _back_eliminate(work: np.ndarray, p: int, pivots: list):
 def rref(matrix: np.ndarray, p: int) -> tuple:
     """Reduced row echelon form over F_p; returns (rref, pivot columns)."""
     work = np.array(matrix, dtype=np.int64) % p
-    pivots = _forward_eliminate(work, p, work.shape[1])
+    pivots, _, _ = _forward_eliminate(work, p, work.shape[1])
+    for r, j in enumerate(pivots):
+        work[r, :j] = 0  # the multipliers
     _back_eliminate(work, p, pivots)
     return work[: len(pivots)], pivots
 
@@ -400,30 +407,38 @@ def nullspace(matrix: np.ndarray, p: int) -> tuple:
     return tuple(basis)
 
 
-def _solve_augmented(work: np.ndarray, p: int, cols: int) -> Optional[np.ndarray]:
-    """Solve [M | v] (cols unknowns) with free unknowns 0, or None if
-    inconsistent; work is eliminated in place, then back-substituted.
+def _refutation(
+    work: np.ndarray, p: int, pivots: list, perm: np.ndarray, scales: list, i: int
+) -> np.ndarray:
+    """c with c.[A | b] = row i of the eliminated work (A-part 0 mod p),
+    scaled so that c.b = 1.
 
-    For p = 2, work holds packed rows (see _pack_primal) and goes to the XOR
-    kernel; otherwise it is int64 with entries in [0, p).  Elimination
-    leaves the rows below the rank unreduced, so they are read mod p.
+    Row i is original row perm[i] minus sum_m a_m U_m, where a_m is its
+    multiplier at pivot m and U_m = (row perm[m] - sum_{q<m} L[m, q] U_q) /
+    scales[m] is the scaled pivot row.  So from the last pivot down,
+    d = a_m / scales[m] gives c[perm[m]] = -d and a_q -= d L[m, q]; acc
+    holds the a_q, mod p, at the pivot columns.  For p = 2 work is packed.
     """
-    if p == 2:
-        return _solve_packed(work, cols)
-    pivots = _forward_eliminate(work, p, cols)
-    rank = len(pivots)
-    if (work[rank:, cols] % p).any():
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r in range(rank - 1, -1, -1):
-        j = pivots[r]
-        acc = int(work[r, cols]) - int(work[r, j + 1 : cols] @ x[j + 1 :])
-        x[j] = acc % p
-    return x
+    c = np.zeros(len(perm), dtype=np.int64)
+    c[perm[i]] = 1
+    acc = work[i].copy()
+    for m in range(len(pivots) - 1, -1, -1):
+        j = pivots[m]
+        if p == 2 and acc[j >> 6] & _BIT[j & 63]:
+            c[perm[m]] = 1
+            acc[: (j >> 6) + 1] ^= work[m, : (j >> 6) + 1]
+        elif p > 2 and (d := int(acc[j]) * pow(scales[m], -1, p) % p):
+            c[perm[m]] = p - d
+            acc[:j] = (acc[:j] - d * work[m, :j]) % p
+    if p > 2:
+        c = c * pow(int(work[i, -1]) % p, -1, p) % p
+    c.flags.writeable = False
+    return c
 
 
-# bit j of a packed row is bit j & 63 of word j >> 6
+# bit j of a packed row is bit j & 63 of word j >> 6; _ABOVE[k] has the bits above k
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_ABOVE = ~(_BIT | (_BIT - np.uint64(1)))
 
 
 def _pack_primal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -437,34 +452,18 @@ def _pack_primal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return words
 
 
-def _pack_dual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A^T 0; b^T 1] over F_2 as packed rows.
+def _solve_packed(words: np.ndarray, cols: int) -> SolveResult:
+    """solve_affine over F_2 on packed rows, with _forward_eliminate's pivots.
 
-    Row j is column j of [A b; 0 1].  The columns are packed 64 rows of A at
-    a time, by shifting rows k, k + 64, ... into bit k, so no transposed copy
-    of A is made.
-    """
-    rows, cols = a.shape
-    words = np.zeros(((rows + 64) >> 6, cols + 1), dtype="<u8")
-    for k in range(min(64, rows)):
-        shift = np.uint64(k)
-        part = a[k::64]
-        words[: len(part), :cols] |= part.view(np.uint64) << shift
-        words[: len(part), cols] |= b[k::64].view(np.uint64) << shift
-    words[rows >> 6, cols] |= _BIT[rows & 63]
-    return np.ascontiguousarray(words.T)
-
-
-def _solve_packed(words: np.ndarray, cols: int) -> Optional[np.ndarray]:
-    """_solve_augmented over F_2 on packed rows, with the same pivots.
-
-    The row update is an XOR of the pivot row from its pivot's word on (the
-    pivot row is zero left of its pivot, so nothing before is touched).  In
-    back-substitution x carries the right-hand side as its bit `cols`, so
-    each pivot unknown is the parity of (row AND x).
+    The pivot row is XORed into the rows below from its pivot's word on,
+    with its bits up to the pivot masked off: a target keeps bit j, its
+    multiplier, and takes none of the pivot row's.  Back-substitution
+    carries the right-hand side as bit `cols` of x, so each pivot unknown
+    is the parity of (row AND x).
     """
     rows = words.shape[0]
     pivots = []
+    perm = np.arange(rows)
     r = 0
     for j in range(cols):
         if r == rows:
@@ -476,12 +475,16 @@ def _solve_packed(words: np.ndarray, cols: int) -> Optional[np.ndarray]:
         if nz[0]:
             i = r + int(nz[0])
             words[[r, i]] = words[[i, r]]
+            perm[[r, i]] = perm[[i, r]]
         if nz.size > 1:
-            words[r + nz[1:], w:] ^= words[r, w:]
+            row = words[r, w:].copy()
+            row[0] &= _ABOVE[j & 63]
+            words[r + nz[1:], w:] ^= row
         pivots.append(j)
         r += 1
-    if (words[r:, cols >> 6] & _BIT[cols & 63]).any():
-        return None
+    bad = np.flatnonzero(words[r:, cols >> 6] & _BIT[cols & 63])
+    if bad.size:
+        return Inconsistent(functional=_refutation(words, 2, pivots, perm, [], r + int(bad[0])))
     x = np.zeros(words.shape[1], dtype="<u8")
     x[cols >> 6] = _BIT[cols & 63]
     for r in range(len(pivots) - 1, -1, -1):
@@ -489,43 +492,38 @@ def _solve_packed(words: np.ndarray, cols: int) -> Optional[np.ndarray]:
         w = j >> 6
         if int(np.bitwise_xor.reduce(words[r, w:] & x[w:])).bit_count() & 1:
             x[w] |= _BIT[j & 63]
-    return np.unpackbits(x.view(np.uint8), count=cols, bitorder="little").astype(np.int64)
+    x = np.unpackbits(x.view(np.uint8), count=cols, bitorder="little").astype(np.int64)
+    x.flags.writeable = False
+    return Consistent(particular=x)
 
 
 def solve_affine(sys: AffineSystem) -> SolveResult:
     """Decide A x = b over F_p with a checkable certificate either way.
 
     Consistent:   a particular solution, free unknowns zero.
-    Inconsistent: a functional c with c.A = 0 and c.b != 0, the solution of
-                  the dual system [A^T 0; b^T 1], built once the primal
-                  array is freed.  Such c exists iff A x = b has no solution.
+    Inconsistent: a functional c with c.A = 0 and c.b = 1, read off the
+                  same elimination (see _refutation).  Such c exists iff
+                  A x = b has no solution.
 
-    For p = 2 both arrays are packed bits, so no int64 copy of A is made.
-    The certificate is not checked here; `check_lift` checks it once.
+    For p = 2 the elimination runs on packed bits, so no int64 copy of A is
+    made.  The certificate is not checked here; `check_lift` checks it once.
     """
-    p = sys.p
-    rows, cols = sys.rows, sys.cols
+    p, cols = sys.p, sys.cols
     if p == 2:
-        work = _pack_primal(sys.matrix, sys.rhs)
-    else:
-        work = np.concatenate([sys.matrix, sys.rhs.reshape(rows, 1)], axis=1)
-    x = _solve_augmented(work, p, cols)
-    del work
-    if x is not None:
-        x.flags.writeable = False
-        return Consistent(particular=x)
-    if p == 2:
-        dual = _pack_dual(sys.matrix, sys.rhs)
-    else:
-        dual = np.zeros((cols + 1, rows + 1), dtype=np.int64)
-        dual[:cols, :rows] = sys.matrix.T
-        dual[cols, :rows] = sys.rhs
-        dual[cols, rows] = 1
-    c = _solve_augmented(dual, p, rows)
-    if c is None:
-        raise AssertionError("internal error: failed to certify inconsistency")
-    c.flags.writeable = False
-    return Inconsistent(functional=c)
+        return _solve_packed(_pack_primal(sys.matrix, sys.rhs), cols)
+    work = np.concatenate([sys.matrix, sys.rhs[:, None]], axis=1)
+    pivots, perm, scales = _forward_eliminate(work, p, cols)
+    rank = len(pivots)
+    bad = np.flatnonzero(work[rank:, cols] % p)
+    if bad.size:
+        return Inconsistent(functional=_refutation(work, p, pivots, perm, scales, rank + int(bad[0])))
+    x = np.zeros(cols, dtype=np.int64)
+    for r in range(rank - 1, -1, -1):
+        j = pivots[r]
+        acc = int(work[r, cols]) - int(work[r, j + 1 : cols] @ x[j + 1 :])
+        x[j] = acc % p
+    x.flags.writeable = False
+    return Consistent(particular=x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from modlift.classify import c3c3_witness_rep, klein_witness_rep, quaternion_wit
 from modlift.cyclic_lift import jordan_companion_rep
 from modlift.groups import Presentation
 from modlift.obstruction import cyclic_witness, module_of_quotient
-from modlift.replift import InvalidRepresentation, Representation, eval_word, validate_rep
+from modlift.replift import InvalidRepresentation, Representation, eval_word, linearize, validate_rep
 from modlift.rings import Mat, PrimeCtx
 from modlift.errors import Error
 
@@ -54,6 +54,11 @@ def witness_suite(klein_rep, q8_rep, c3c3_rep, c9_module_rep):
         ("jordan-2-2-3", jordan_companion_rep(PrimeCtx(2), 2, 3), True),
         ("jordan-3-1-2", jordan_companion_rep(PrimeCtx(3), 1, 2), True),
     ]
+
+
+def refutes(rep, verdict):
+    """verdict carries a refutation of rep's lift system, built afresh."""
+    return verdict.refutation is not None and linearize(rep).system.checks_refutation(verdict.refutation)
 
 
 def random_invertible(rng, p, n):

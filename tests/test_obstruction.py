@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import time_limit
+from conftest import refutes, time_limit
 from modlift.groups import cyclic_group, elementary_abelian
 from modlift.obstruction import (
     GroupAlgebraElement,
@@ -223,4 +223,4 @@ def test_nonzero_theta_refutes_quotient_module(p, n):
     assert rep.n == p ** n - m
     v = check_lift(rep)
     assert not v.liftable
-    assert v.refutation_checks_out()
+    assert refutes(rep, v)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import over_budget_rep, random_invertible, random_valid_instance
+from conftest import over_budget_rep, random_invertible, random_valid_instance, refutes
 from modlift import replift
 from modlift.classify import _bad_group_and_witness
 from modlift.formats import family_from_tokens
@@ -249,13 +249,13 @@ def test_linearize_rejects_foreign_lifts():
 def test_klein_not_liftable(klein_rep):
     v = check_lift(klein_rep)
     assert not v.liftable
-    assert v.refutation_checks_out()
+    assert refutes(klein_rep, v)
 
 
 def test_c3c3_not_liftable(c3c3_rep):
     v = check_lift(c3c3_rep)
     assert not v.liftable
-    assert v.refutation_checks_out()
+    assert refutes(c3c3_rep, v)
 
 
 def test_check_lift_long_relator_speed():
@@ -300,7 +300,7 @@ def test_check_lift_walks_relators_once(monkeypatch, witness_suite):
     for name, rep, expected in witness_suite:
         v = check_lift(rep)
         assert v.liftable == expected, name
-        assert v.refutation_checks_out() or verify_certificate(rep, v.certificate)
+        assert refutes(rep, v) or verify_certificate(rep, v.certificate)
 
 
 # --- direct sums ----------------------------------------------------------------

@@ -310,16 +310,18 @@ def affine_systems(draw):
     return AffineSystem(p, a, b)
 
 
-def _seeded_system(rows, cols, rank, consistent, seed, p=2):
+def _seeded_system(rows, cols, rank, consistent, seed, p=2, summed=(0,)):
     """A seeded system of rank at most `rank`; when not consistent, its
-    last row repeats row 0 with the right-hand side moved."""
+    last row is the sum of the rows in `summed` with the right-hand side
+    moved."""
     rng = np.random.default_rng(seed)
     a = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+    summed = list(summed)
     if not consistent:
-        a[-1] = a[0]
+        a[-1] = a[summed].sum(axis=0) % p
     b = (a @ rng.integers(0, p, cols)) % p
     if not consistent:
-        b[-1] = (b[0] + 1) % p
+        b[-1] = (b[summed].sum() + 1) % p
     return AffineSystem(p, a, b)
 
 
@@ -329,8 +331,8 @@ def _seeded_system(rows, cols, rank, consistent, seed, p=2):
 @example(sys=AffineSystem(7, [[1, 2, 3, 4], [2, 4, 6, 1]], [5, 3]))            # wide
 @example(sys=AffineSystem(32749, [[1, 2], [3, 4], [5, 6]], [1, 2, 4]))         # tall
 @example(sys=AffineSystem(2, [[1, 0], [1, 0]], [0, 1]))                        # inconsistent
-# p = 2 across 64-bit words: the packed widths cols + 1 (primal) and
-# rows + 1 (dual, built when inconsistent) are 63, 64, 65, 128 and 129
+# p = 2 across 64-bit words: the packed widths cols + 1 are 63, 64, 65,
+# 128 and 129
 @example(sys=_seeded_system(62, 128, 62, False, 1))
 @example(sys=_seeded_system(63, 127, 63, False, 2))
 @example(sys=_seeded_system(64, 64, 64, False, 3))
@@ -348,12 +350,19 @@ def _seeded_system(rows, cols, rank, consistent, seed, p=2):
 @example(sys=AffineSystem(3, [[1, 2, 0], [2, 1, 1]], [1, 1]))
 @example(sys=AffineSystem(3, [[1], [2]], [2, 1]))
 @example(sys=_seeded_system(330, 320, 310, False, 10, p=32749))
+# refutations read off the elimination: at p = 5 a row swap, pivots of 2,
+# pivot row 1 with a multiplier at pivot 0, and c.b = 2 before scaling; at
+# p = 2 a sum of four rows whose substitution runs from word 1 into word 0
+@example(sys=AffineSystem(5, [[2, 1, 0], [4, 2, 1], [1, 0, 3], [3, 1, 3]], [1, 0, 2, 0]))
+@example(sys=_seeded_system(100, 130, 99, False, 11, summed=(0, 40, 70, 98)))
 def test_solve_matches_reference_solver(sys):
     res = solve_affine(sys)
     particular, cert = reference_solve_affine(sys)
     if particular is None:
         assert isinstance(res, Inconsistent)
-        assert _same_array(res.functional, cert)
+        c = res.functional
+        assert c.dtype == np.int64 and c.shape == (sys.rows,) and ((0 <= c) & (c < sys.p)).all()
+        assert dense_refutes(sys, c) and int(c @ sys.rhs) % sys.p == 1
         assert sys.checks_refutation(res.functional)
     else:
         assert isinstance(res, Consistent)
@@ -384,7 +393,7 @@ def test_refuted_solve_memory():
     # C63 (C7, p = 7) on int64 rows
     for (_, g), shape, bound in (
         (dihedral(16), (768, 512), 0.3),
-        (cyclic_group(63), (2025, 2025), 2),
+        (cyclic_group(63), (2025, 2025), 1.25),
     ):
         system = linearize(induced_witness(g, find_subgroup_witness(g))).system
         assert (system.rows, system.cols) == shape
