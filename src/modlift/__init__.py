@@ -6,8 +6,7 @@ from .rings import (
     Consistent,
     Inconsistent,
     Mat,
-    PolyFp,
-    PolyInt,
+    Poly,
     PrimeCtx,
     binom_div_p,
     merge_kernel_element,
@@ -49,7 +48,6 @@ from .obstruction import (
     theta,
 )
 from .cyclic_lift import (
-    CyclotomicFactorization,
     companion_lift,
     cyclotomic_factors,
     find_divisor_lift,

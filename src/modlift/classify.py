@@ -38,6 +38,7 @@ from .groups import (
 )
 from .obstruction import module_of_quotient, one_minus_generator
 from .replift import (
+    MAX_DIMENSION,
     LiftVerdict,
     Representation,
     check_lift,
@@ -49,9 +50,6 @@ from .rings import Mat, PrimeCtx
 
 class CertificationFailed(Error):
     """The solver disagreed with the classification theory; must never happen."""
-
-
-WITNESS_DIM_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,9 @@ def _bad_group_and_witness(kind: str, prime: int) -> tuple:
         if prime < 5:
             raise ValueError("Cp witnesses require p >= 5")
         _, group = cyclic_group(prime)
-        h = one_minus_generator(group, prime) ** (prime - 2)
+        # J_k does not lift for 2 <= k <= p - 2 (the liftable Jordan sizes
+        # of C_p are 1, p - 1 and p), so the dimension cap can bound k
+        h = one_minus_generator(group, prime) ** min(prime - 2, MAX_DIMENSION)
         rep = module_of_quotient(group, h)
     else:
         raise ValueError(f"unknown bad-subgroup kind {kind!r}")
@@ -180,6 +180,12 @@ def classify(g: FiniteGroup) -> ClassificationVerdict:
     certification is reported via the `certified` flag rather than trusted
     (`certified=False` marks the rare case where the attached witness does
     not actually refute, i.e. the solver contradicts the theory).
+
+    The witness is the bad subgroup's canonical witness induced up to G
+    while that stays within replift.MAX_DIMENSION and G realizes a
+    presentation, and the subgroup witness itself otherwise.  The C_p
+    witness is F_p[C_p]/(1-s)^k with k = min(p - 2, MAX_DIMENSION), so every
+    prime order admitted gets a witness the checker accepts.
     """
     n = g.order
     two_part = n & -n
@@ -196,7 +202,7 @@ def classify(g: FiniteGroup) -> ClassificationVerdict:
 
     _, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
     induced_dim = (g.order // len(bad.elements)) * rep_h.n
-    if g.presentation is not None and induced_dim <= WITNESS_DIM_CAP:
+    if g.presentation is not None and induced_dim <= MAX_DIMENSION:
         witness = induced_witness(g, bad)
         level = "group"
     else:

@@ -9,14 +9,14 @@ size-i unipotent Jordan module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import Error
 from .groups import Presentation, wpow
-from .rings import Mat, PolyFp, PolyInt, PrimeCtx
+from .rings import Mat, Poly, PrimeCtx
 from .replift import LiftCertificate, Representation, verify_certificate
 
 
@@ -24,50 +24,33 @@ class InvalidDivisor(Error):
     pass
 
 
-@dataclass(frozen=True)
-class CyclotomicFactorization:
-    """[Phi_1, Phi_p, ..., Phi_{p^n}] with product t^{p^n} - 1."""
-
-    p: int
-    n: int
-    factors: tuple
-    degrees: tuple
-
-    def __post_init__(self):
-        prod = PolyInt.one()
-        for f, d in zip(self.factors, self.degrees):
-            if f.degree != d:
-                raise AssertionError("degree table out of sync")
-            prod = prod * f
-        pn = self.p ** self.n
-        if prod != PolyInt.x_pow_minus_one(pn):
-            raise AssertionError("cyclotomic product is not t^{p^n} - 1")
-        tm1 = PolyFp.t_minus_one(self.p)
-        for f in self.factors:
-            if f.reduce(self.p) != tm1 ** f.degree:
-                raise AssertionError("factor does not reduce to a power of (t - 1)")
-
-
-def _cyclotomic_p_power(p: int, j: int) -> PolyInt:
+def _cyclotomic_p_power(p: int, j: int) -> Poly:
     if j == 0:
-        return PolyInt([-1, 1])
+        return Poly([-1, 1])
     # Phi_{p^j}(t) = sum_{i < p} t^{i * p^{j-1}}
     step = p ** (j - 1)
     coeffs = [0] * ((p - 1) * step + 1)
     for i in range(p):
         coeffs[i * step] = 1
-    return PolyInt(coeffs)
+    return Poly(coeffs)
 
 
-def cyclotomic_factors(ctx: PrimeCtx, n: int) -> CyclotomicFactorization:
+def cyclotomic_factors(ctx: PrimeCtx, n: int) -> tuple:
+    """(Phi_1, Phi_p, ..., Phi_{p^n}), checked to multiply to t^{p^n} - 1
+    and each to reduce mod p to a power of (t - 1)."""
     if n < 1:
         raise ValueError("need n >= 1")
     factors = tuple(_cyclotomic_p_power(ctx.p, j) for j in range(n + 1))
-    degrees = tuple(f.degree for f in factors)
-    return CyclotomicFactorization(ctx.p, n, factors, degrees)
+    if math.prod(factors, start=Poly([1])) != Poly.x_pow_minus_one(ctx.p ** n):
+        raise AssertionError("cyclotomic product is not t^{p^n} - 1")
+    tm1 = Poly([-1, 1], ctx.p)
+    for f in factors:
+        if f.reduce(ctx.p) != tm1 ** f.degree:
+            raise AssertionError("factor does not reduce to a power of (t - 1)")
+    return factors
 
 
-def find_divisor_lift(ctx: PrimeCtx, n: int, i: int) -> Optional[PolyInt]:
+def find_divisor_lift(ctx: PrimeCtx, n: int, i: int) -> Optional[Poly]:
     """A monic divisor of t^{p^n} - 1 over Z congruent to (t-1)^i mod p.
 
     Searches subsets of the cyclotomic factors whose degrees sum to i,
@@ -78,27 +61,22 @@ def find_divisor_lift(ctx: PrimeCtx, n: int, i: int) -> Optional[PolyInt]:
     pn = ctx.p ** n
     if not 1 <= i <= pn:
         raise ValueError(f"need 1 <= i <= p^n = {pn}")
-    fac = cyclotomic_factors(ctx, n)
-    k = len(fac.factors)
-    for mask in range((1 << k) - 1, -1, -1):
-        total = sum(fac.degrees[j] for j in range(k) if mask >> j & 1)
-        if total != i:
-            continue
-        prod = PolyInt.one()
-        for j in range(k):
-            if mask >> j & 1:
-                prod = prod * fac.factors[j]
-        _assert_divisor(ctx, n, i, prod)
-        return prod
+    factors = cyclotomic_factors(ctx, n)
+    for mask in range((1 << len(factors)) - 1, -1, -1):
+        chosen = [f for j, f in enumerate(factors) if mask >> j & 1]
+        if sum(f.degree for f in chosen) == i:
+            prod = math.prod(chosen, start=Poly([1]))
+            _assert_divisor(ctx, n, i, prod)
+            return prod
     return None
 
 
-def _assert_divisor(ctx: PrimeCtx, n: int, i: int, P: PolyInt):
+def _assert_divisor(ctx: PrimeCtx, n: int, i: int, P: Poly):
     if not P.is_monic():
         raise InvalidDivisor("P is not monic")
-    if P.reduce(ctx.p) != PolyFp.t_minus_one(ctx.p) ** i:
+    if P.reduce(ctx.p) != Poly([-1, 1], ctx.p) ** i:
         raise InvalidDivisor(f"P is not congruent to (t-1)^{i} mod {ctx.p}")
-    _, rem = PolyInt.x_pow_minus_one(ctx.p ** n).divmod_exact(P)
+    _, rem = Poly.x_pow_minus_one(ctx.p ** n).divmod_exact(P)
     if not rem.is_zero():
         raise InvalidDivisor(f"P does not divide t^{ctx.p ** n} - 1")
 
@@ -124,11 +102,11 @@ def cyclic_presentation(order: int) -> Presentation:
 def jordan_companion_rep(ctx: PrimeCtx, n: int, i: int) -> Representation:
     """<s | s^{p^n}> with s acting as the companion matrix of (t-1)^i mod p."""
     pn = ctx.p ** n
-    mat = companion_matrix(PolyFp.t_minus_one(ctx.p) ** i, ctx.p)
+    mat = companion_matrix(Poly([-1, 1], ctx.p) ** i, ctx.p)
     return Representation(ctx, cyclic_presentation(pn), (mat,), i)
 
 
-def companion_lift(ctx: PrimeCtx, n: int, i: int, P: PolyInt) -> tuple:
+def companion_lift(ctx: PrimeCtx, n: int, i: int, P: Poly) -> tuple:
     """The Jordan companion representation together with its verbatim lift.
 
     P must be a monic divisor of t^{p^n} - 1 congruent to (t-1)^i mod p
@@ -145,9 +123,8 @@ def companion_lift(ctx: PrimeCtx, n: int, i: int, P: PolyInt) -> tuple:
 
 def liftable_jordan_sizes(ctx: PrimeCtx, n: int) -> set:
     """All i in [1, p^n] reachable as a subset sum of cyclotomic degrees."""
-    fac = cyclotomic_factors(ctx, n)
     pn = ctx.p ** n
     sums = {0}
-    for d in fac.degrees:
-        sums |= {s + d for s in sums}
+    for f in cyclotomic_factors(ctx, n):
+        sums |= {s + f.degree for s in sums}
     return {i for i in sums if 1 <= i <= pn}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Error
 from .groups import FiniteGroup, cyclic_group
-from .rings import Mat, PolyFp, PrimeCtx, is_prime, power, rref
+from .rings import Mat, Poly, PrimeCtx, is_prime, power, rref
 from .replift import Representation, UnrealizedPresentation, validate_rep
 
 
@@ -115,14 +115,12 @@ class GroupAlgebraElement:
         return f"GroupAlgebraElement(mod={self.mod}, {self.coeffs.tolist()})"
 
 
-def one_minus_generator(group: FiniteGroup, mod: int, gen: Optional[int] = None) -> GroupAlgebraElement:
-    """1 - sigma for a realized generator (default: the group's first)."""
-    if gen is None:
-        if not group.gen_indices:
-            raise UnrealizedPresentation("group has no realized generators")
-        gen = group.gen_indices[0]
+def one_minus_generator(group: FiniteGroup, mod: int) -> GroupAlgebraElement:
+    """1 - sigma for the group's first realized generator sigma."""
+    if not group.gen_indices:
+        raise UnrealizedPresentation("group has no realized generators")
     one = GroupAlgebraElement.one(group, mod)
-    return one - GroupAlgebraElement.basis(group, mod, gen)
+    return one - GroupAlgebraElement.basis(group, mod, group.gen_indices[0])
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def cyclic_witness(ctx: PrimeCtx, n: int) -> tuple:
     return f, h, m
 
 
-def q_polynomial(ctx: PrimeCtx, n: int) -> PolyFp:
+def q_polynomial(ctx: PrimeCtx, n: int) -> Poly:
     """[(1-s)^{p^n} - (1 - s^{p^n})] / p mod p, in the variable s = 1 - t.
 
     Exact big-integer construction; the s^{p^{n-1}} coefficient is the
@@ -225,7 +223,7 @@ def q_polynomial(ctx: PrimeCtx, n: int) -> PolyFp:
         coeffs[k_] = (-1) ** k_ * (c // p)
     top = (-1) ** pn + 1
     coeffs[pn] = top // p if top else 0
-    return PolyFp(p, coeffs)
+    return Poly(coeffs, p)
 
 
 def module_of_quotient(g: FiniteGroup, h: GroupAlgebraElement) -> Representation:

@@ -71,7 +71,13 @@ DEFAULT_BRUTE_BUDGET = 1 << 20
 
 # dense elimination stays fast only at desk scale
 MAX_DIMENSION = 64
-MAX_SYSTEM_BYTES = 1 << 30  # per int64 copy of the lift system; a check peaks at two
+# per int64 copy A of the lift system.  A dense odd-p check can peak near
+# 4 A: A itself, the solve's work copy and, at the first pivots, the row
+# update's two temporaries (the gathered rows and the outer product).
+# tracemalloc inside solve_affine reads 2.7-3.2 A on top of A for seeded
+# dense refuted F_7 systems of 200^2 to 1200^2, and 1.85-3.02 A on the six
+# largest odd-p search-small systems at seed 3
+MAX_SYSTEM_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ from .replift import (
 from .rings import (
     Consistent,
     Mat,
-    PolyInt,
+    Poly,
     PrimeCtx,
     binom_div_p,
     nullspace,
@@ -200,12 +200,12 @@ def _divisor_lifts_p2() -> Result:
     ctx = PrimeCtx(2)
     # the binary-digit product: i = 5 = 2^0 + 2^2 lifts to (t+1)(t^4+1)
     P5 = find_divisor_lift(ctx, 3, 5)
-    if P5 != PolyInt([1, 1]) * PolyInt([1, 0, 0, 0, 1]):
+    if P5 != Poly([1, 1]) * Poly([1, 0, 0, 0, 1]):
         return False, f"P_5 = {P5}, expected (t+1)(t^4+1)"
     count = 0
     for n in range(1, 5):
-        product = math.prod(cyclotomic_factors(ctx, n).factors, start=PolyInt.one())
-        if product != PolyInt.x_pow_minus_one(2 ** n):
+        product = math.prod(cyclotomic_factors(ctx, n), start=Poly([1]))
+        if product != Poly.x_pow_minus_one(2 ** n):
             return False, f"factorization broken at n={n}"
         for i in range(1, 2 ** n + 1):
             P = find_divisor_lift(ctx, n, i)
@@ -222,7 +222,7 @@ def _divisor_lifts_p2() -> Result:
 
 def _divisor_lifts_p3() -> Result:
     ctx = PrimeCtx(3)
-    want_p2 = PolyInt([1, 1, 1])
+    want_p2 = Poly([1, 1, 1])
     got = find_divisor_lift(ctx, 1, 2)
     if got != want_p2:
         return False, f"P_2 = {got}, expected t^2+t+1"
@@ -245,7 +245,7 @@ def _gap_sets() -> Result:
         return False, f"(5,1) sizes = {sorted(s51)}"
     # independent oracle: the sums of subsets of the factor degrees
     for (p, n), got in (((3, 2), s32), ((5, 1), s51)):
-        degrees = cyclotomic_factors(PrimeCtx(p), n).degrees
+        degrees = [f.degree for f in cyclotomic_factors(PrimeCtx(p), n)]
         sums = {
             sum(combo)
             for r in range(len(degrees) + 1)

@@ -1,8 +1,8 @@
 """Exact arithmetic over F_p and Z/p^2.
 
 Dense square matrices over either modulus, Gaussian elimination with
-certificate-grade determinism, affine systems over F_p, and exact integer /
-mod-p polynomial arithmetic.  An affine system is eliminated once, each row
+certificate-grade determinism, affine systems over F_p, and one exact
+polynomial type over Z or Z/m.  An affine system is eliminated once, each row
 keeping its multipliers, so a refutation is read off the same elimination.
 Over F_2 rows are packed 64 bits to a word and eliminated with XOR and the
 same pivots as for odd p, so certificates do not depend on the kernel.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -544,58 +544,35 @@ def binom_div_p(N: int, K: int, ctx: PrimeCtx) -> int:
 # polynomials
 
 
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+class Poly:
+    """Polynomial over Z (mod None) or over Z/mod, dense coefficients lowest
+    degree first.
 
-
-# coefficient arithmetic over Z shared by PolyInt and PolyFp, whose
-# constructors trim the result and (for PolyFp) reduce it mod p
-
-
-def _coeffs_add(a: tuple, b: tuple) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _coeffs_mul(a: tuple, b: tuple) -> list:
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return out
-
-
-class PolyInt:
-    """Polynomial over Z, dense coefficients lowest degree first.
-
-    The zero polynomial is the empty tuple.  Arbitrary-precision throughout;
-    these only appear in the cyclotomic machinery, never in matrix code.
+    Coefficients are reduced into [0, mod) when mod is given, and trailing
+    zeros are trimmed, so the zero polynomial is the empty tuple.
+    Arbitrary-precision throughout; these only appear in the cyclotomic
+    machinery, never in matrix code.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "mod")
 
-    def __init__(self, coeffs: Sequence[int] = ()):
-        self.coeffs = _trim(int(c) for c in coeffs)
+    def __init__(self, coeffs: Sequence[int] = (), mod: Optional[int] = None):
+        coeffs = [int(c) if mod is None else int(c) % mod for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+        self.mod = mod
 
     @classmethod
-    def x_pow_minus_one(cls, k: int) -> "PolyInt":
+    def x_pow_minus_one(cls, k: int) -> "Poly":
         return cls([-1] + [0] * (k - 1) + [1])
-
-    @classmethod
-    def one(cls) -> "PolyInt":
-        return cls([1])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def coeff(self, i: int) -> int:
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -603,23 +580,25 @@ class PolyInt:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "PolyInt") -> "PolyInt":
-        return PolyInt(_coeffs_add(self.coeffs, other.coeffs))
+    def _check(self, other: "Poly"):
+        if self.mod != other.mod:
+            raise ValueError(f"mixed rings: mod {self.mod} and mod {other.mod}")
 
-    def __sub__(self, other: "PolyInt") -> "PolyInt":
-        return self + (-other)
+    def __mul__(self, other: "Poly") -> "Poly":
+        self._check(other)
+        out = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                for j, d in enumerate(other.coeffs):
+                    out[i + j] += c * d
+        return Poly(out, self.mod)
 
-    def __neg__(self) -> "PolyInt":
-        return PolyInt([-c for c in self.coeffs])
+    def __pow__(self, k: int) -> "Poly":
+        return power(self, k, Poly([1], self.mod))
 
-    def __mul__(self, other: "PolyInt") -> "PolyInt":
-        return PolyInt(_coeffs_mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, k: int) -> "PolyInt":
-        return power(self, k, PolyInt.one())
-
-    def divmod_exact(self, divisor: "PolyInt") -> tuple:
-        """Long division by a monic divisor, exact over Z."""
+    def divmod_exact(self, divisor: "Poly") -> tuple:
+        """Long division by a monic divisor, exact in the polynomials' ring."""
+        self._check(divisor)
         if not divisor.is_monic():
             raise NonMonicDivisor(f"divisor {divisor} is not monic")
         rem = list(self.coeffs)
@@ -631,72 +610,20 @@ class PolyInt:
                 quo[i] = q
                 for j, c in enumerate(divisor.coeffs):
                     rem[i + j] -= q * c
-        return PolyInt(quo), PolyInt(rem[:d])
+        return Poly(quo, self.mod), Poly(rem[:d], self.mod)
 
-    def reduce(self, p: int) -> "PolyFp":
-        return PolyFp(p, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyInt) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("PolyInt", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"PolyInt({_poly_str(self.coeffs)})"
-
-
-class PolyFp:
-    """Polynomial over F_p, dense coefficients lowest degree first."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: Sequence[int] = ()):
-        self.p = p
-        self.coeffs = _trim(int(c) % p for c in coeffs)
-
-    @classmethod
-    def t_minus_one(cls, p: int) -> "PolyFp":
-        return cls(p, [-1, 1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        return PolyFp(self.p, _coeffs_add(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        return PolyFp(self.p, _coeffs_mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, k: int) -> "PolyFp":
-        return power(self, k, PolyFp(self.p, [1]))
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def _check(self, other: "PolyFp"):
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
+    def reduce(self, p: int) -> "Poly":
+        return Poly(self.coeffs, p)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyFp) and self.p == other.p and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("PolyFp", self.p, self.coeffs))
+        return isinstance(other, Poly) and self.mod == other.mod and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        return f"PolyFp(p={self.p}, {_poly_str(self.coeffs)})"
+        ring = "" if self.mod is None else f", mod={self.mod}"
+        return f"Poly({_poly_str(self.coeffs)}{ring})"
 
 
-def _poly_str(coeffs: tuple, var: str = "t") -> str:
+def _poly_str(coeffs: tuple) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -708,7 +635,7 @@ def _poly_str(coeffs: tuple, var: str = "t") -> str:
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+            term = f"{mag}t" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(("-" if c < 0 else "") + term)
         else:

@@ -19,6 +19,7 @@ from modlift.formats import format_representation
 from modlift.groups import (
     cyclic_group,
     dihedral,
+    direct_product_cyclic,
     elementary_abelian,
     find_subgroup_witness,
     generalized_quaternion,
@@ -27,7 +28,7 @@ from modlift.groups import (
     sylow,
 )
 from modlift.obstruction import GroupAlgebraElement, module_of_quotient, one_minus_generator, theta
-from modlift.replift import Representation, check_lift, validate_rep
+from modlift.replift import MAX_DIMENSION, Representation, check_lift, validate_rep
 from modlift.rings import Mat, PrimeCtx
 
 
@@ -59,6 +60,23 @@ def test_classify_c9():
     v = classify(cyclic_group(9)[1])
     assert not v.liftable and v.bad.kind == "C9"
     assert v.witness.n == 5 and v.certified
+
+
+@pytest.mark.parametrize(
+    "group, level",
+    [(cyclic_group(67)[1], "group"), (direct_product_cyclic(67, 2)[1], "subgroup")],
+    ids=["C67", "C67xC2"],
+)
+def test_classify_prime_past_dimension_cap(group, level):
+    # the C_67 witness (1-s)^{p-2} would be 65-dimensional; it is capped at
+    # MAX_DIMENSION, where J_64 still does not lift
+    v = classify(group)
+    assert not v.liftable
+    assert (v.bad.kind, v.bad.prime) == ("Cp", 67)
+    assert v.witness.n == MAX_DIMENSION == 64
+    assert v.witness_level == level
+    assert v.certified
+    assert refutes(v.witness, v.witness_verdict)
 
 
 def test_classify_q8_honest():

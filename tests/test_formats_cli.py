@@ -340,6 +340,15 @@ def test_cli_classify_witness_round_trip(capsys):
     assert "REFUTE:" in out
 
 
+def test_cli_classify_prime_past_dimension_cap(capsys):
+    rc = main(["classify", "C", "67"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "VERDICT: NOT_LIFTABLE (Cp)" in out
+    assert "witness: 64-dimensional representation over F_67" in out
+    assert "solver-certified: True" in out
+
+
 def test_cli_classify_q8_warns(capsys):
     rc = main(["classify", "Q", "8"])
     out = capsys.readouterr().out

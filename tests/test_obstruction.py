@@ -15,7 +15,7 @@ from modlift.obstruction import (
     theta,
 )
 from modlift.replift import check_lift, validate_rep
-from modlift.rings import Mat, PolyFp, PrimeCtx, binom_div_p
+from modlift.rings import Mat, Poly, PrimeCtx, binom_div_p
 
 
 def test_algebra_identity():
@@ -130,7 +130,7 @@ def test_cyclic_witness_out_of_range():
 
 def test_q_polynomial_p2():
     q = q_polynomial(PrimeCtx(2), 1)
-    assert q == PolyFp(2, [0, 1, 1])  # s^2 + s
+    assert q == Poly([0, 1, 1], 2)  # s^2 + s
 
 
 def test_q_polynomial_coefficient_matches_binomial():

@@ -16,8 +16,7 @@ from modlift.rings import (
     NonMonicDivisor,
     NotDivisible,
     NotInKernel,
-    PolyFp,
-    PolyInt,
+    Poly,
     PrimeCtx,
     Singular,
     binom_div_p,
@@ -388,14 +387,26 @@ def test_solve_matches_reference_solver(sys):
     assert all(_same_array(v, w) for v, w in zip(basis, old_basis))
 
 
-def test_refuted_solve_memory():
+def test_refuted_solve_memory(rng):
     # refuted induced witnesses: D16 (Klein, p = 2) on packed bits, and
-    # C63 (C7, p = 7) on int64 rows
-    for (_, g), shape, bound in (
-        (dihedral(16), (768, 512), 0.3),
-        (cyclic_group(63), (2025, 2025), 1.25),
+    # C63 (C7, p = 7) on int64 rows.  C63's system has rank 27, too low to
+    # show a copy of the multipliers L (rank x rank).  An upper-bidiagonal
+    # F_7 system of rank 1500, plus the row w.A with rhs w.b + 1, shows one:
+    # its elimination updates only that last row, so a gather of L would
+    # double the peak.
+    n, p = 1500, 7
+    a = np.diag(rng.integers(1, p, n)) + np.diag(rng.integers(0, p, n - 1), 1)
+    b, w = rng.integers(0, p, n), rng.integers(0, p, n)
+    bidiagonal = AffineSystem(p, np.vstack([a, w @ a]), np.append(b, w @ b + 1))
+    d16, c63 = (
+        linearize(induced_witness(g, find_subgroup_witness(g))).system
+        for _, g in (dihedral(16), cyclic_group(63))
+    )
+    for system, shape, bound in (
+        (d16, (768, 512), 0.3),
+        (c63, (2025, 2025), 1.25),
+        (bidiagonal, (n + 1, n), 1.25),
     ):
-        system = linearize(induced_witness(g, find_subgroup_witness(g))).system
         assert (system.rows, system.cols) == shape
         tracemalloc.start()
         try:
@@ -428,24 +439,24 @@ def test_binom_nonzero_on_prime_powers(p, n):
 
 
 def test_poly_product_t4_minus_1():
-    prod = PolyInt([-1, 1]) * PolyInt([1, 1]) * PolyInt([1, 0, 1])
-    assert prod == PolyInt.x_pow_minus_one(4)
+    prod = Poly([-1, 1]) * Poly([1, 1]) * Poly([1, 0, 1])
+    assert prod == Poly.x_pow_minus_one(4)
 
 
 def test_poly_divmod_detects_nondivisor():
-    q, r = PolyInt.x_pow_minus_one(4).divmod_exact(PolyInt([1, 1, 1]))
+    q, r = Poly.x_pow_minus_one(4).divmod_exact(Poly([1, 1, 1]))
     assert not r.is_zero()
 
 
 def test_poly_reduction_mod_3():
-    lhs = PolyInt([1, 1, 1]).reduce(3)
-    rhs = PolyFp.t_minus_one(3) ** 2
+    lhs = Poly([1, 1, 1]).reduce(3)
+    rhs = Poly([-1, 1], 3) ** 2
     assert lhs == rhs
 
 
 def test_poly_divmod_requires_monic():
     with pytest.raises(NonMonicDivisor):
-        PolyInt([1, 0, 1]).divmod_exact(PolyInt([1, 2]))
+        Poly([1, 0, 1]).divmod_exact(Poly([1, 2]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,11 +465,11 @@ def test_poly_divmod_requires_monic():
     b=st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=4),
 )
 def test_poly_divmod_exact_recovers_factor(a, b):
-    divisor = PolyInt(b + [1])  # force monic
-    prod = PolyInt(a) * divisor
+    divisor = Poly(b + [1])  # force monic
+    prod = Poly(a) * divisor
     q, r = prod.divmod_exact(divisor)
     assert r.is_zero()
-    assert q == PolyInt(a)
+    assert q == Poly(a)
 
 
 def test_matmul_object_fallback_near_prime_cap(rng):
@@ -499,17 +510,24 @@ def test_power_matches_repeated_products():
         assert m ** k == acc
         assert m ** -k == m.inv() ** k
         acc = acc @ m
-    assert PolyInt([1, 1]) ** 5 == PolyInt([1, 5, 10, 10, 5, 1])
+    assert Poly([1, 1]) ** 5 == Poly([1, 5, 10, 10, 5, 1])
     assert power(3, 13, 1) == 3 ** 13
     with pytest.raises(ValueError):
         power(3, -1, 1)
 
 
-@pytest.mark.parametrize("base", [PolyInt([1, 1]), PolyFp(3, [1, 1])])
+@pytest.mark.parametrize("base", [Poly([1, 1]), Poly([1, 1], 3)])
 @pytest.mark.parametrize("k", [-1, -2])
 def test_polynomial_negative_power_raises(base, k):
     with time_limit(2), pytest.raises(ValueError):
         base ** k
+
+
+def test_polynomial_mixed_rings_raise():
+    with pytest.raises(ValueError):
+        Poly([1, 1]) * Poly([1, 1], 3)
+    with pytest.raises(ValueError):
+        Poly([1, 1], 3).divmod_exact(Poly([1, 1], 5))
 
 
 def test_affine_system_copies_matrix_once():
