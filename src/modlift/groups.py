@@ -16,6 +16,7 @@ a and s is b), (h, 2, h-1, 0) for D_{2h}, (h, 2, h-1, h/2) for Q_{2h} and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -430,17 +431,23 @@ def extend_hom(g: FiniteGroup, gen_images: Sequence, one, mul) -> Optional[list]
 
 def word_value(word: Word, images: Sequence, one, mul, inv):
     """The value of word with images[g] as the image of generator g, in the
-    target with identity one, product mul and inverse inv; each inverted
-    generator is inverted once."""
+    target with identity one, product mul and inverse inv.
+
+    The word is walked one run at a time: a maximal block g^(+-m) of one
+    repeated letter is raised with rings.power, so it costs O(log m)
+    products instead of m, and a run of length 1 costs one product, as a
+    letter did.  Each inverted generator is inverted once.
+    """
     acc = one
     invs = {}
-    for g, e in word:
+    for (g, e), run in groupby(word):
         if e == 1:
-            acc = mul(acc, images[g])
+            base = images[g]
         else:
             if g not in invs:
                 invs[g] = inv(images[g])
-            acc = mul(acc, invs[g])
+            base = invs[g]
+        acc = mul(acc, rings.power(base, sum(1 for _ in run), one, mul))
     return acc
 
 

@@ -17,13 +17,19 @@ In the row-major layout the map A |-> v A v^-1 is kron(v, (v^-1)^T), so
 entry [(a,b),(c,d)] of generator g's block is sum_t e_t v_t[a,c] v_t^-1[d,b]
 over the letters t of g.  `linearize` walks each relator once, stacks the
 prefixes v_t and v_t^-1 as rows of two matrices and forms that sum as one
-float64 matrix product per generator.  The letters go in chunks of _CHUNK
-and the sums are reduced mod p after each chunk, so no sum exceeds
-_CHUNK * (p-1)^2 < 2^53 and float64 is exact for every admitted prime: there
-is no second, integer path.  The same walk evaluates the relator at the
-lifts over Z/p^2, which gives E_w and rejects a relator that fails mod p,
-so it is the one relator walk of `check_lift`.  Certificates are re-checked
-with `eval_word`, which shares no code with that walk.
+float64 matrix product per generator.  The walk goes one run at a time: a
+run is a maximal block g^(+-m) of one repeated letter, and its m stacked
+prefixes are v g^t for t < m, which are made by doubling,
+[P_k; P_k g^k], in O(log m) float64 products of stacked (k n, n) by (n, n)
+matrices.  Their entries are below p <= PRIME_CAP and n <= MAX_DIMENSION,
+so those sums stay below 64 * (p-1)^2 < 2^53.  The letters go in chunks of
+_CHUNK and the stacked sums are reduced mod p after each chunk, so no sum
+exceeds _CHUNK * (p-1)^2 < 2^53 either, and float64 is exact for every
+admitted prime: there is no second, integer path.  The same walk evaluates
+the relator at the lifts over Z/p^2, in O(log m) matmul_mod products per
+run, which gives E_w and rejects a relator that fails mod p, so it is the
+one relator walk of `check_lift`.  Certificates are re-checked with
+`eval_word`, which shares only rings.power and matmul_mod with that walk.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +53,7 @@ from .rings import (
     Singular,
     matmul_mod,
     merge_kernel_element,
+    power,
     solve_affine,
     split_kernel_element,
 )
@@ -195,43 +203,105 @@ def relator_defect(rep: Representation, naive_lifts: Sequence[Mat], word: Word) 
 _CHUNK = 512
 
 
-def _linearize_relator(out, word, gens, gen_invs, lifts, lift_invs, p, p2):
+def _stack_powers(out, step, p) -> None:
+    """Fill out[..., t, :, :] = out[..., 0, :, :] @ step^t mod p for every
+    t < out.shape[-3], batched over the leading axes of out and step.
+
+    The rows are made by doubling, out[k:2k] = out[:k] @ step^k, with out[:k]
+    stacked as one (k*n, n) matrix, so m rows take O(log m) float64 GEMMs.
+    All operands are float64 in [0, p) with n <= MAX_DIMENSION, so every sum
+    stays below 64 * (p-1)^2 < 2^53 and each product is exact; nothing is
+    negative, so np.fmod, several times faster than np.remainder on floats,
+    reduces it.
+    """
+    *lead, m, n, _ = out.shape
+    done, step_k = 1, step
+    while done < m:
+        k = min(done, m - done)
+        rows = out[..., done : done + k, :, :].reshape(*lead, k * n, n)
+        np.matmul(out[..., :k, :, :].reshape(*lead, k * n, n), step_k, out=rows)
+        np.fmod(rows, p, out=rows)
+        done += k
+        if done < m:
+            step_k = np.fmod(step_k @ step_k, p)
+
+
+def _chunked_runs(word) -> list:
+    """The runs of word cut at every _CHUNK-th letter, as one list per chunk.
+
+    A run is a maximal block g^(e*m) of one repeated letter.  Each piece is
+    (g, e, m, c): c letters of the run, and m is the run's length on its
+    first piece and 0 on the pieces that continue it.
+    """
+    chunks, room = [[]], _CHUNK
+    for (g, e), run in groupby(word):
+        m = left = sum(1 for _ in run)
+        while left:
+            if not room:
+                chunks.append([])
+                room = _CHUNK
+            c = min(left, room)
+            chunks[-1].append((g, e, m if left == m else 0, c))
+            left -= c
+            room -= c
+    return chunks
+
+
+def _linearize_relator(out, word, steps, lift_steps, p, p2):
     """Fill one relator's block and return the relator's value at the lifts.
 
     out is the relator's zeroed block viewed as (n, n, k, n, n), so that
     out[a, b, g, c, d] is row (a, b), column (g, c, d) of the system; each
-    chunk's product is added into it and reduced mod p.  The walk carries
-    the prefix w at the naive lifts over Z/p^2, whose reduction mod p is
-    v_t, and v_t^-1 over F_p.  X^T Y comes out indexed [(a,c),(d,b)] and is
-    transposed into place.
+    chunk's product is added into it and reduced mod p.  The walk goes one
+    run g^(e*m) at a time and carries the prefix w at the naive lifts over
+    Z/p^2, whose reduction mod p is v, and (v^-1)^T over F_p; w crosses the
+    run as w @ lift_steps[g, e]^m, by rings.power in O(log m) matmul_mod
+    products.  A letter moves the pair (X, Y^T) = (v, (v^-1)^T) to
+    (X, Y^T) @ steps[g, e], which is (g, g^-T) for g and (g^-1, g^T) for
+    g^-1, so _stack_powers makes a run's rows from its first pair.  A
+    letter g is recorded before it is taken and a letter g^-1 after, with X
+    negated.  Y is stored transposed, so X^T Y comes out indexed
+    [(a,c),(b,d)] and is transposed into place.
     """
     n = out.shape[0]
     n2 = n * n
-    w = np.eye(n, dtype=np.int64)
-    vinv = np.eye(n, dtype=np.int64)
-    for start in range(0, len(word), _CHUNK):
-        chunk = word[start : start + _CHUNK]
-        counts = Counter(g for g, _ in chunk)
-        # X is stored transposed so that both GEMM operands are C-contiguous
-        xt = {g: np.empty((n2, c)) for g, c in counts.items()}
-        y = {g: np.empty((c, n2)) for g, c in counts.items()}
+    eye = np.eye(n, dtype=np.int64)
+    w, vinv_t = eye, np.eye(n)
+
+    def mul_p2(a, b):
+        return matmul_mod(a, b, p2)
+
+    def mul_p(a, b):
+        return np.fmod(a @ b, p)
+
+    for chunk in _chunked_runs(word):
+        counts = Counter()
+        for g, _, _, c in chunk:
+            counts[g] += c
+        pairs = {g: np.empty((2, c, n, n)) for g, c in counts.items()}
         filled = dict.fromkeys(counts, 0)
-        for g, e in chunk:
-            if e == 1:
-                x_t, y_t = w % p, vinv
-                w = matmul_mod(w, lifts[g], p2)
-                vinv = matmul_mod(gen_invs[g], vinv, p)
-            else:
-                w = matmul_mod(w, lift_invs[g], p2)
-                vinv = matmul_mod(gens[g], vinv, p)
-                x_t, y_t = -w % p, vinv
+        for g, e, m, c in chunk:
+            step = steps[g, e]
             i = filled[g]
-            filled[g] = i + 1
-            xt[g][:, i] = x_t.reshape(-1)
-            y[g][i] = y_t.reshape(-1)
-        for g in counts:
+            filled[g] = i + c
+            rows = pairs[g][:, i : i + c]
+            if not m:
+                # the run goes on from the last pair of its previous piece
+                rows[:, 0] = mul_p(last, step)
+            else:
+                rows[0, 0], rows[1, 0] = (w if e == 1 else -w) % p, vinv_t
+                if e == -1:
+                    rows[:, 0] = mul_p(rows[:, 0], step)
+                w = mul_p2(w, power(lift_steps[g, e], m, eye, mul_p2))
+            _stack_powers(rows, step, p)
+            last = rows[:, -1]
+            vinv_t = mul_p(last[1], step[1]) if e == 1 else last[1]
+        for g, c in counts.items():
             block = out[:, :, g]
-            prod = (xt[g] @ y[g]).reshape(n, n, n, n).transpose(0, 3, 1, 2)
+            # X^T in C order: on the transposed view the same GEMM makes
+            # multithreaded OpenBLAS keep more buffer memory resident
+            xt = np.ascontiguousarray(pairs[g][0].reshape(c, n2).T)
+            prod = (xt @ pairs[g][1].reshape(c, n2)).reshape(n, n, n, n).transpose(0, 2, 1, 3)
             # prod holds integers below 2^53, so the float-to-int cast is exact
             np.add(block, prod, out=block, casting="unsafe")
             np.remainder(block, p, out=block)
@@ -243,16 +313,19 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
 
     One n^2-row block per relator; unknowns laid out by (generator,
     row-major entry), so column j always means the same matrix entry and
-    certificates stay auditable.  Each relator is walked once, and
-    generator g's block is X^T Y for the rows X_t = e_t v_t and Y_t =
-    v_t^-1 stacked over the letters t of g (see the module docstring).  The
+    certificates stay auditable.  Each relator is walked once, one run
+    g^(+-m) at a time, and generator g's block is X^T Y for the rows X_t =
+    e_t v_t and Y_t = v_t^-1 stacked over the letters t of g (see the
+    module docstring).  A run's rows are made by doubling, each step one
+    float64 product whose sums stay below 64 * (p-1)^2 < 2^53.  The block
     product is taken in float64 over chunks of _CHUNK letters and reduced
     mod p after each, so its sums stay below _CHUNK * (p-1)^2 < 2^53, where
     float64 is exact for every prime up to PRIME_CAP; no integer fallback
-    is needed.  The same walk gives each relator's defect E_w.  A singular
-    generator, a relator that fails mod p (both with `validate_rep`'s
-    messages) and, before any allocation, a system over MAX_SYSTEM_BYTES
-    raise InvalidRepresentation.
+    is needed.  The same walk gives each relator's defect E_w, in O(log m)
+    matmul_mod products per run over Z/p^2.  A singular generator, a
+    relator that fails mod p (both with `validate_rep`'s messages) and,
+    before any allocation, a system over MAX_SYSTEM_BYTES raise
+    InvalidRepresentation.
     """
     p, p2 = rep.ctx.p, rep.ctx.p2
     n = rep.n
@@ -266,16 +339,18 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     if naive_lifts is None:
         naive_lifts = canonical_lifts(rep)
     _check_naive_lifts(rep, naive_lifts)
-    gens = [m.a for m in rep.gen_mats]
-    gen_invs = [m.a for m in _generator_inverses(rep)]
-    lifts = [m.a for m in naive_lifts]
     inverted = {g for word in relators for g, e in word if e == -1}
-    lift_invs = {g: naive_lifts[g].inv().a for g in inverted}
+    steps, lift_steps = {}, {}
+    for g, (m, m_inv) in enumerate(zip(rep.gen_mats, _generator_inverses(rep))):
+        a, b = m.a.astype(np.float64), m_inv.a.astype(np.float64)
+        steps[g, 1], lift_steps[g, 1] = np.stack((a, b.T)), naive_lifts[g].a
+        if g in inverted:
+            steps[g, -1], lift_steps[g, -1] = np.stack((b, a.T)), naive_lifts[g].inv().a
     matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.int64)
     rhs = np.zeros((len(relators), n, n), dtype=np.int64)
     defects = []
     for i, (block, b, word) in enumerate(zip(matrix, rhs, relators)):
-        value = _linearize_relator(block, word, gens, gen_invs, lifts, lift_invs, p, p2)
+        value = _linearize_relator(block, word, steps, lift_steps, p, p2)
         try:
             defect = split_kernel_element(Mat(p2, value), p)
         except NotInKernel:

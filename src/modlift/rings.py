@@ -83,17 +83,21 @@ class PrimeCtx:
 
 
 def power(x, k: int, one, mul=operator.mul):
-    """x**k by square-and-multiply, for k >= 0; one is the identity of mul."""
+    """x**k by square-and-multiply, for k >= 0; one is the identity of mul.
+
+    The first factor taken is not multiplied into one, so x**k costs
+    bit_length(k) - 1 squarings and popcount(k) - 1 products, and x**1 is x.
+    """
     if k < 0:
         raise ValueError(f"exponent must be >= 0, got {k}")
-    result = one
+    result = None
     while k:
         if k & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         k >>= 1
         if k:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 # ---------------------------------------------------------------------------

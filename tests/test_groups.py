@@ -1,13 +1,17 @@
 import hashlib
+import operator
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import time_limit
+from conftest import random_invertible, time_limit
 from modlift.classify import classify
 from modlift.formats import family_from_tokens
 from modlift.groups import (
+    MAX_ORDER,
     FiniteGroup,
     GroupAuditError,
     OrderTooLarge,
@@ -29,9 +33,11 @@ from modlift.groups import (
     semidirect_c3_c2n,
     sylow,
     transversal,
+    winv,
     word_value,
     wpow,
 )
+from modlift.rings import Mat
 
 
 # --- families ------------------------------------------------------------
@@ -389,3 +395,86 @@ def test_word_utilities():
     # a word times its inverse evaluates to the identity in any group
     _, g = semidirect_c3_c2n(1)
     assert word_value(wmul(w, winv(w)), g.gen_indices, 0, g.mul, g.inv_of) == 0
+
+
+def fold_word(word, images, one, mul, inv):
+    """Reference evaluator: one product per letter, left to right."""
+    acc = one
+    for g, e in word:
+        acc = mul(acc, images[g] if e == 1 else inv(images[g]))
+    return acc
+
+
+# runs g^(+-m) of length 1 to 2^12; adjacent runs of one letter merge
+RUNS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.sampled_from([1, -1]),
+        st.one_of(st.just(1), st.integers(1, 70), st.integers(1, 1 << 12)),
+    ),
+    max_size=6,
+)
+
+
+def runs_word(runs):
+    return tuple(letter for g, e, m in runs for letter in wpow(g, e * m))
+
+
+def counted(mul):
+    calls = []
+
+    def wrapped(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    return wrapped, calls
+
+
+def assert_run_cost(word, calls):
+    # a run of m letters costs at most 2 bit_length(m) - 2 products in
+    # rings.power, plus one into the value
+    bound = sum(2 * sum(1 for _ in run).bit_length() for _, run in groupby(word))
+    assert len(calls) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 7, 251]),
+    square=st.booleans(),
+    n=st.integers(1, 4),
+    runs=RUNS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=251, square=True, n=3, runs=[(0, 1, 1 << 12), (1, -1, 1), (0, -1, 3001), (2, 1, 2)], seed=0)
+def test_word_value_matches_letter_fold_on_matrices(p, square, n, runs, seed):
+    rng = np.random.default_rng(seed)
+    mod = p * p if square else p
+    images = [Mat(mod, random_invertible(rng, p, n).a + p * rng.integers(0, p, (n, n))) for _ in range(3)]
+    word = runs_word(runs)
+    one = Mat.identity(mod, n)
+    mul, calls = counted(operator.matmul)
+    got = word_value(word, images, one, mul, Mat.inv)
+    assert got == fold_word(word, images, one, operator.matmul, Mat.inv)
+    assert got.mod == mod
+    assert_run_cost(word, calls)
+    assert word_value(word + winv(word), images, one, operator.matmul, Mat.inv).is_identity()
+
+
+TABLE_GROUPS = [dihedral(16)[1], generalized_quaternion(16)[1], semidirect_c3_c2n(2)[1], cyclic_group(97)[1]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    group=st.sampled_from(range(len(TABLE_GROUPS))),
+    runs=RUNS,
+    elements=st.lists(st.integers(0, MAX_ORDER), min_size=3, max_size=3),
+)
+@example(group=3, runs=[(0, -1, 1 << 12), (1, 1, 5), (0, 1, 4000)], elements=[1, 2, 3])
+def test_word_value_matches_letter_fold_on_tables(group, runs, elements):
+    g = TABLE_GROUPS[group]
+    images = [x % g.order for x in elements]
+    word = runs_word(runs)
+    mul, calls = counted(g.mul)
+    got = word_value(word, images, 0, mul, g.inv_of)
+    assert got == fold_word(word, images, 0, g.mul, g.inv_of)
+    assert_run_cost(word, calls)

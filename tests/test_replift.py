@@ -21,10 +21,12 @@ from modlift.groups import (
     generalized_quaternion,
     transversal,
     winv,
+    wmul,
     wpow,
 )
 from modlift.replift import (
     _CHUNK,
+    MAX_DIMENSION,
     MAX_SYSTEM_BYTES,
     BudgetExceeded,
     InvalidRepresentation,
@@ -45,8 +47,10 @@ from modlift.replift import (
     restrict,
     validate_rep,
     verify_certificate,
+    _stack_powers,
 )
-from modlift.rings import Consistent, Mat, PrimeCtx, nullspace, solve_affine
+from modlift import rings
+from modlift.rings import Consistent, Mat, PrimeCtx, matmul_mod, nullspace, solve_affine
 from modlift.cyclic_lift import companion_lift, find_divisor_lift, jordan_companion_rep
 
 
@@ -173,7 +177,7 @@ def kron_linearize(rep, naive_lifts):
     return np.concatenate(blocks), np.concatenate(rhs), tuple(defects)
 
 
-def random_relator_rep(rng, p, n, k, length):
+def random_relator_rep(rng, p, n, k, length, runs=False):
     """k generators over F_p with two relators of about `length` letters.
 
     The first k-1 generators are random; the last is u(x)^-1 * T for a
@@ -181,6 +185,9 @@ def random_relator_rep(rng, p, n, k, length):
     relator.  Rotation, inversion and conjugation by a random word keep it
     one while mixing inverse letters into it.  With k = 1 the word is
     lengthened by a power prime to p instead, so its block stays nonzero.
+    With runs, u is g0^(+-a) g1^(+-b) ... with each run up to `length`
+    letters long, so the relator is (g0^a g1^-b z)^d and its runs of both
+    signs cross the chunk boundaries.
     """
     ctx = PrimeCtx(p)
     conj = random_invertible(rng, p, n)
@@ -190,8 +197,11 @@ def random_relator_rep(rng, p, n, k, length):
     while not (t ** d).is_identity():
         d += 1
     mats = [random_invertible(rng, p, n) for _ in range(k - 1)]
-    ulen = max(0, length // d - 1) if k > 1 else 0
-    u = tuple((int(rng.integers(0, k - 1)), int(rng.choice([1, -1]))) for _ in range(ulen))
+    if runs:
+        u = wmul(*(wpow(g, int(rng.choice([1, -1])) * int(rng.integers(1, length + 1))) for g in range(k - 1)))
+    else:
+        ulen = max(0, length // d - 1) if k > 1 else 0
+        u = tuple((int(rng.integers(0, k - 1)), int(rng.choice([1, -1]))) for _ in range(ulen))
     mats.append(eval_word(mats, u, p, n).inv() @ t)
     base = (u + ((k - 1, 1),)) * d
     m = max(1, length // len(base))
@@ -210,7 +220,7 @@ def random_relator_rep(rng, p, n, k, length):
     return Representation(ctx, pres, tuple(mats), n)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7, 32749]),
     n=st.integers(1, 5),
@@ -222,12 +232,15 @@ def random_relator_rep(rng, p, n, k, length):
     ),
     randomize=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    runs=st.booleans(),
 )
 # Z/p^2 products past int64 (Python integers) over two chunks
-@example(p=32749, n=5, k=2, length=_CHUNK + 7, randomize=True, seed=1)
-def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed):
+@example(p=32749, n=5, k=2, length=_CHUNK + 7, randomize=True, seed=1, runs=False)
+# (g0^a g1^-b z)^d with runs of both signs across chunk boundaries
+@example(p=3, n=4, k=3, length=_CHUNK + 40, randomize=True, seed=3, runs=True)
+def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed, runs):
     rng = np.random.default_rng(seed)
-    rep = random_relator_rep(rng, p, n, k, length)
+    rep = random_relator_rep(rng, p, n, k, length, runs)
     lifts = randomized_lifts(rep, rng) if randomize else canonical_lifts(rep)
     matrix, rhs, defects = kron_linearize(rep, lifts)
     lin = linearize(rep, lifts)
@@ -235,6 +248,40 @@ def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert [(d.mod, d.a.tobytes()) for d in lin.defects] == [(d.mod, d.a.tobytes()) for d in defects]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 37, 64])
+def test_stack_powers_matches_letter_products(rows):
+    # the largest dimension and prime: the doubling's float64 sums reach
+    # 64 (p-1)^2, which must stay exact
+    p, n = 32749, MAX_DIMENSION
+    rng = np.random.default_rng(rows)
+    start = rng.integers(0, p, (n, n))
+    step = rng.integers(0, p, (n, n))
+    out = np.empty((rows, n, n))
+    out[0] = start
+    _stack_powers(out, step.astype(np.float64), p)
+    want = start
+    for t in range(rows):
+        assert out[t].astype(np.int64).tobytes() == want.tobytes(), t
+        want = matmul_mod(want, step, p)
+
+
+def test_check_lift_walks_runs_in_log_products(monkeypatch):
+    # <s | s^65536>: one run, so the Z/p^2 walk of linearize and the
+    # certificate check take O(log 65536) matrix products, not one a letter
+    calls = []
+
+    def counted(a, b, mod):
+        calls.append(mod)
+        return matmul_mod(a, b, mod)
+
+    rep = jordan_companion_rep(PrimeCtx(2), 16, 20)
+    monkeypatch.setattr(replift, "matmul_mod", counted)
+    monkeypatch.setattr(rings, "matmul_mod", counted)
+    v = check_lift(rep)
+    assert v.liftable
+    assert len(calls) <= 8 * 17
 
 
 def test_linearize_rejects_foreign_lifts():

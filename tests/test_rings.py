@@ -516,6 +516,25 @@ def test_power_matches_repeated_products():
         power(3, -1, 1)
 
 
+def test_power_product_count():
+    # x^k takes bit_length(k) - 1 squarings and popcount(k) - 1 products:
+    # the first factor is never multiplied into one
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for k in range(1, 70):
+        calls.clear()
+        assert power(3, k, 1, mul) == 3 ** k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+    assert power(3, 0, 1, mul) == 1
+    m = Mat(7, [[1, 2], [3, 4]])
+    assert m ** 1 is m
+    assert m ** 2 == m @ m
+
+
 @pytest.mark.parametrize("base", [Poly([1, 1]), Poly([1, 1], 3)])
 @pytest.mark.parametrize("k", [-1, -2])
 def test_polynomial_negative_power_raises(base, k):
