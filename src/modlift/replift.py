@@ -25,11 +25,16 @@ matrices.  Their entries are below p <= PRIME_CAP and n <= MAX_DIMENSION,
 so those sums stay below 64 * (p-1)^2 < 2^53.  The letters go in chunks of
 _CHUNK and the stacked sums are reduced mod p after each chunk, so no sum
 exceeds _CHUNK * (p-1)^2 < 2^53 either, and float64 is exact for every
-admitted prime: there is no second, integer path.  The same walk evaluates
-the relator at the lifts over Z/p^2, in O(log m) matmul_mod products per
-run, which gives E_w and rejects a relator that fails mod p, so it is the
-one relator walk of `check_lift`.  Certificates are re-checked with
-`eval_word`, which shares only rings.power and matmul_mod with that walk.
+admitted prime: there is no second, integer path.  Every reduction is
+_reduce_mod's floor-and-correct, q = floor(x * (1/p)) and x - q p, exact
+below 2^53 and 5-60 times faster here than numpy's fmod, whose time grows
+with x / p.  A is written once, at its natural width (uint8 for p < 2^8,
+uint16 otherwise): each chunk's product is formed, reduced and added into
+A one slab of output rows at a time.  The same walk evaluates the relator
+at the lifts over Z/p^2, in O(log m) matmul_mod products per run, which
+gives E_w and rejects a relator that fails mod p, so it is the one relator
+walk of `check_lift`.  Certificates are re-checked with `eval_word`, which
+shares only rings.power and matmul_mod with that walk.
 """
 
 from __future__ import annotations
@@ -79,12 +84,15 @@ DEFAULT_BRUTE_BUDGET = 1 << 20
 
 # dense elimination stays fast only at desk scale
 MAX_DIMENSION = 64
-# per int64 copy A of the lift system.  A dense odd-p check can peak near
-# 4 A: A itself, the solve's work copy and, at the first pivots, the row
-# update's two temporaries (the gathered rows and the outer product).
-# tracemalloc inside solve_affine reads 2.7-3.2 A on top of A for seeded
-# dense refuted F_7 systems of 200^2 to 1200^2, and 1.85-3.02 A on the six
-# largest odd-p search-small systems at seed 3
+# on rows * cols * 8, the size W of the odd-p solve's work copy of the lift
+# system at its widest, int64 (it is int32, W / 2, where the entries'
+# bound allows; see rings); linearize's A itself is 1 or 2 bytes an entry.
+# A dense odd-p check can peak near 3 W on top of A: the work copy and, at
+# the first pivots, the row update's two temporaries (the gathered rows and
+# the outer product).  With an int64 work copy, tracemalloc inside
+# solve_affine read 2.7-3.2 W on top of A for seeded dense refuted F_7
+# systems of 200^2 to 1200^2, and 1.85-3.02 W on the six largest odd-p
+# search-small systems at seed 3
 MAX_SYSTEM_BYTES = 1 << 30
 
 
@@ -201,6 +209,38 @@ def relator_defect(rep: Representation, naive_lifts: Sequence[Mat], word: Word) 
 # holds it exactly for any _CHUNK below 2^23.  The chunk also caps the stacked
 # prefixes at 2 * _CHUNK * n^2 floats, whatever the length of the relator.
 _CHUNK = 512
+# Floats per slab: a reduction's temporaries, and a block product's output
+# (at least one row block of n^3), stay this small whatever the size of A.
+_SLAB = 1 << 16
+
+
+def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce x, float64 integers in [0, 2^53) with x.ndim >= 2, to [0, p)
+    in place; return x.
+
+    One slab of _SLAB floats along the next-to-last axis at a time, so the
+    temporaries stay small: q = floor(x * (1/p)), x -= q * p, and one
+    correction.  1/p and the product each round by a relative 2^-53, so
+    x * (1/p) is within 2/p of x/p and q is off by at most one: one too
+    large only when x = -1 mod p, where q * p = x + 1 <= 2^53 is exact and
+    x - q * p = -1, or one too small, which leaves x - q * p in [p, 2p).
+    Adding p to the one and subtracting it from the other is exact.  For
+    p = 2, 1/p and q are exact.  numpy's fmod gives the same values in time
+    that grows with x / p: 5-60 times as long at the sizes linearize
+    reduces.
+    """
+    rows = x.shape[-2]
+    step = max(1, _SLAB * rows // max(1, x.size))
+    inv = 1.0 / p
+    for i in range(0, rows, step):
+        s = x[..., i : i + step, :]
+        q = s * inv
+        np.floor(q, out=q)
+        q *= p
+        s -= q
+        np.add(s, p, out=s, where=s < 0)
+        np.subtract(s, p, out=s, where=s >= p)
+    return x
 
 
 def _stack_powers(out, step, p) -> None:
@@ -210,9 +250,8 @@ def _stack_powers(out, step, p) -> None:
     The rows are made by doubling, out[k:2k] = out[:k] @ step^k, with out[:k]
     stacked as one (k*n, n) matrix, so m rows take O(log m) float64 GEMMs.
     All operands are float64 in [0, p) with n <= MAX_DIMENSION, so every sum
-    stays below 64 * (p-1)^2 < 2^53 and each product is exact; nothing is
-    negative, so np.fmod, several times faster than np.remainder on floats,
-    reduces it.
+    stays below 64 * (p-1)^2 < 2^53 and each product is exact; _reduce_mod
+    reduces it in place.
     """
     *lead, m, n, _ = out.shape
     done, step_k = 1, step
@@ -220,10 +259,10 @@ def _stack_powers(out, step, p) -> None:
         k = min(done, m - done)
         rows = out[..., done : done + k, :, :].reshape(*lead, k * n, n)
         np.matmul(out[..., :k, :, :].reshape(*lead, k * n, n), step_k, out=rows)
-        np.fmod(rows, p, out=rows)
+        _reduce_mod(rows, p)
         done += k
         if done < m:
-            step_k = np.fmod(step_k @ step_k, p)
+            step_k = _reduce_mod(step_k @ step_k, p)
 
 
 def _chunked_runs(word) -> list:
@@ -251,17 +290,19 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
     """Fill one relator's block and return the relator's value at the lifts.
 
     out is the relator's zeroed block viewed as (n, n, k, n, n), so that
-    out[a, b, g, c, d] is row (a, b), column (g, c, d) of the system; each
-    chunk's product is added into it and reduced mod p.  The walk goes one
-    run g^(e*m) at a time and carries the prefix w at the naive lifts over
-    Z/p^2, whose reduction mod p is v, and (v^-1)^T over F_p; w crosses the
-    run as w @ lift_steps[g, e]^m, by rings.power in O(log m) matmul_mod
-    products.  A letter moves the pair (X, Y^T) = (v, (v^-1)^T) to
-    (X, Y^T) @ steps[g, e], which is (g, g^-T) for g and (g^-1, g^T) for
-    g^-1, so _stack_powers makes a run's rows from its first pair.  A
-    letter g is recorded before it is taken and a letter g^-1 after, with X
-    negated.  Y is stored transposed, so X^T Y comes out indexed
-    [(a,c),(b,d)] and is transposed into place.
+    out[a, b, g, c, d] is row (a, b), column (g, c, d) of the system.  The
+    walk goes one run g^(e*m) at a time and carries the prefix w at the
+    naive lifts over Z/p^2, whose reduction mod p is v, and (v^-1)^T over
+    F_p; w crosses the run as w @ lift_steps[g, e]^m, by rings.power in
+    O(log m) matmul_mod products.  A letter moves the pair (X, Y^T) =
+    (v, (v^-1)^T) to (X, Y^T) @ steps[g, e], which is (g, g^-T) for g and
+    (g^-1, g^T) for g^-1, so _stack_powers makes a run's rows from its
+    first pair.  A letter g is recorded before it is taken and a letter
+    g^-1 after, with X negated.  Y is stored transposed, so X^T Y comes out
+    indexed [(a,c),(b,d)] and is transposed into place: one slab of rows a
+    at a time, each chunk's product is formed, reduced, added to what out
+    holds (the sum is below 2p, so one subtraction of p reduces it) and
+    written once.
     """
     n = out.shape[0]
     n2 = n * n
@@ -272,8 +313,12 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
         return matmul_mod(a, b, p2)
 
     def mul_p(a, b):
-        return np.fmod(a @ b, p)
+        return _reduce_mod(a @ b, p)
 
+    # generators whose block holds an earlier chunk's sum
+    written = set()
+    # output row blocks a per slab of one block product
+    slab = max(1, _SLAB // max(1, n * n2))
     for chunk in _chunked_runs(word):
         counts = Counter()
         for g, _, _, c in chunk:
@@ -297,14 +342,21 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
             last = rows[:, -1]
             vinv_t = mul_p(last[1], step[1]) if e == 1 else last[1]
         for g, c in counts.items():
-            block = out[:, :, g]
             # X^T in C order: on the transposed view the same GEMM makes
             # multithreaded OpenBLAS keep more buffer memory resident
             xt = np.ascontiguousarray(pairs[g][0].reshape(c, n2).T)
-            prod = (xt @ pairs[g][1].reshape(c, n2)).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-            # prod holds integers below 2^53, so the float-to-int cast is exact
-            np.add(block, prod, out=block, casting="unsafe")
-            np.remainder(block, p, out=block)
+            y = pairs[g][1].reshape(c, n2)
+            for a in range(0, n, slab):
+                prod = _reduce_mod(xt[a * n : (a + slab) * n] @ y, p)
+                # rows (a, c) and columns (b, d) go to block[a, b, c, d]
+                prod = prod.reshape(-1, n, n, n).transpose(0, 2, 1, 3)
+                target = out[a : a + slab, :, g]
+                if g in written:
+                    prod += target
+                    np.subtract(prod, p, out=prod, where=prod >= p)
+                # integers in [0, p): the cast to A's dtype is exact
+                target[...] = prod
+            written.add(g)
     return w
 
 
@@ -318,10 +370,13 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     e_t v_t and Y_t = v_t^-1 stacked over the letters t of g (see the
     module docstring).  A run's rows are made by doubling, each step one
     float64 product whose sums stay below 64 * (p-1)^2 < 2^53.  The block
-    product is taken in float64 over chunks of _CHUNK letters and reduced
-    mod p after each, so its sums stay below _CHUNK * (p-1)^2 < 2^53, where
-    float64 is exact for every prime up to PRIME_CAP; no integer fallback
-    is needed.  The same walk gives each relator's defect E_w, in O(log m)
+    product is taken in float64 over chunks of _CHUNK letters, so its sums
+    stay below _CHUNK * (p-1)^2 < 2^53, where float64 is exact for every
+    prime up to PRIME_CAP; no integer fallback is needed.  Each chunk's
+    product is formed and reduced one slab of rows at a time and added into
+    A, whose dtype is np.min_scalar_type(p - 1); the system keeps that
+    narrow, read-only A without a copy, and b as int64.  The same walk
+    gives each relator's defect E_w, in O(log m)
     matmul_mod products per run over Z/p^2.  A singular generator, a
     relator that fails mod p (both with `validate_rep`'s messages) and,
     before any allocation, a system over MAX_SYSTEM_BYTES raise
@@ -342,11 +397,11 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     inverted = {g for word in relators for g, e in word if e == -1}
     steps, lift_steps = {}, {}
     for g, (m, m_inv) in enumerate(zip(rep.gen_mats, _generator_inverses(rep))):
-        a, b = m.a.astype(np.float64), m_inv.a.astype(np.float64)
-        steps[g, 1], lift_steps[g, 1] = np.stack((a, b.T)), naive_lifts[g].a
+        a, b = m.a, m_inv.a
+        steps[g, 1], lift_steps[g, 1] = np.array((a, b.T), dtype=np.float64), naive_lifts[g].a
         if g in inverted:
-            steps[g, -1], lift_steps[g, -1] = np.stack((b, a.T)), naive_lifts[g].inv().a
-    matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.int64)
+            steps[g, -1], lift_steps[g, -1] = np.array((b, a.T), dtype=np.float64), naive_lifts[g].inv().a
+    matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.min_scalar_type(p - 1))
     rhs = np.zeros((len(relators), n, n), dtype=np.int64)
     defects = []
     for i, (block, b, word) in enumerate(zip(matrix, rhs, relators)):

@@ -2,17 +2,24 @@
 
 Dense square matrices over either modulus, Gaussian elimination with
 certificate-grade determinism, affine systems over F_p, and one exact
-polynomial type over Z or Z/m.  An affine system is eliminated once, each row
-keeping its multipliers, so a refutation is read off the same elimination.
-Over F_2 rows are packed 64 bits to a word and eliminated with XOR and the
-same pivots as for odd p, so certificates do not depend on the kernel.
-Over odd p, int64 rows are reduced mod p only where a value is read: the
-entries the pivot search finds, the pivot row when it is chosen, and the
-right-hand sides left below the rank.  A row update subtracts products of
-two values in [0, p) unreduced, so an entry stays below p + rank * (p-1)^2
-in absolute value, under 2^63 for p <= PRIME_CAP at any rank that fits in
-memory.  Everything here is immutable after construction and safe to share
-between threads.
+polynomial type over Z or Z/m.  An affine system holds A as given when it
+is read-only, reduced and int64, uint8 or uint16 (linearize's A has the
+narrowest of these that holds p - 1), and as a reduced int64 copy
+otherwise.  It is eliminated once, each row keeping its multipliers, so a
+refutation is read off the same elimination.  Over F_2 rows are packed 64
+bits to a word, straight from A, and eliminated with XOR and the same
+pivots as for odd p, so certificates do not depend on the kernel.  Over
+odd p, A is widened into a work copy whose rows are reduced mod p only
+where a value is read: the entries the pivot search finds, the pivot row
+when it is chosen, the right-hand sides left below the rank, and the rows
+in which a column scan finds nothing but multiples of p.  A row update
+subtracts products of two values in [0, p) unreduced, so an entry stays
+below p + rank * (p-1)^2 in absolute value, under 2^63 for p <= PRIME_CAP
+at any rank that fits in memory.  The work copy is int32 where that bound,
+with rank taken as min(rows, cols) + 1, is below 2^31 (min(rows, cols) up
+to 34,358 at p = 251, and to 6 * 10^7 at p = 7), and int64 otherwise:
+half the bytes, the same values.  Everything here is immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -268,7 +275,11 @@ def merge_kernel_element(x: Mat, p: int) -> Mat:
 
 
 class AffineSystem:
-    """A x = b over F_p, rows are scalar equations."""
+    """A x = b over F_p, rows are scalar equations.
+
+    matrix is int64, or the uint8 or uint16 array handed over read-only and
+    reduced (see _owned_reduced); rhs is int64 unless handed over likewise.
+    """
 
     __slots__ = ("p", "matrix", "rhs")
 
@@ -302,21 +313,25 @@ class AffineSystem:
         if c.shape != (self.rows,):
             return False
         # einsum forms the same int64 sums as c @ A, without numpy's slow
-        # integer matmul
+        # integer matmul, and reads a narrow A without widening a copy
         ca = np.einsum("i,ij->j", c, self.matrix) % self.p
         return not ca.any() and bool((c @ self.rhs) % self.p)
 
 
-def _owned_reduced(x, p: int) -> np.ndarray:
-    """x as an int64 array in [0, p) for a system to own.
+_OWNED_DTYPES = (np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.uint16))
 
-    An int64 array that is read-only and already reduced is taken over as
-    it is; anything else is reduced into a copy, so a writeable array of
-    the caller's is never aliased.
+
+def _owned_reduced(x, p: int) -> np.ndarray:
+    """x as an array in [0, p) for a system to own.
+
+    A read-only array that is already reduced is taken over as it is when
+    its dtype is int64, uint8 or uint16 (linearize's narrow A); anything
+    else is reduced into an int64 copy, so a writeable array of the
+    caller's is never aliased.
     """
-    a = np.asarray(x, dtype=np.int64)
-    if a.flags.writeable or (a.size and (a.min() < 0 or a.max() >= p)):
-        a = a % p
+    a = np.asarray(x)
+    if a.dtype not in _OWNED_DTYPES or a.flags.writeable or (a.size and (a.min() < 0 or a.max() >= p)):
+        a = np.remainder(a, p, dtype=np.int64, casting="unsafe")
     return a
 
 
@@ -341,7 +356,9 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
     the original index of each row and each pivot's value before scaling.
     The update skips the pivot's column, so each row keeps there its entry,
     which is its multiplier mod p; pivot rows are reduced to [0, p) but not
-    zero left of their pivots.  Rows below the rank stay unreduced.
+    zero left of their pivots.  Rows below the rank may stay unreduced: one
+    is reduced when a column scan finds in it a nonzero multiple of p and
+    keeps no entry of the column.
     """
     rows = work.shape[0]
     pivots, scales = [], []
@@ -358,6 +375,9 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
             # multiples of p are zeros that were left unreduced
             keep = np.flatnonzero(vals)
             if keep.size == 0:
+                # reduce the rows that hold them, or the scans of the
+                # columns to come read the same unreduced zeros again
+                work[r + nz] %= p
                 continue
             nz, vals = nz[keep], vals[keep]
         i = r + int(nz[0])
@@ -448,11 +468,9 @@ _ABOVE = ~(_BIT | (_BIT - np.uint64(1)))
 def _pack_primal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A | b] over F_2 as packed rows of little-endian uint64 words."""
     rows, cols = a.shape
-    bits = np.empty((rows, cols + 1), dtype=np.uint8)
-    bits[:, :cols] = a
-    bits[:, cols] = b
     words = np.zeros((rows, (cols + 64) >> 6), dtype="<u8")
-    words.view(np.uint8)[:, : (cols + 8) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+    words.view(np.uint8)[:, : (cols + 7) >> 3] = np.packbits(a, axis=1, bitorder="little")
+    words[:, cols >> 6] |= b.astype("<u8") << np.uint64(cols & 63)
     return words
 
 
@@ -509,13 +527,19 @@ def solve_affine(sys: AffineSystem) -> SolveResult:
                   same elimination (see _refutation).  Such c exists iff
                   A x = b has no solution.
 
-    For p = 2 the elimination runs on packed bits, so no int64 copy of A is
-    made.  The certificate is not checked here; `check_lift` checks it once.
+    For p = 2 the elimination runs on bits packed straight from A, so no
+    integer copy of A is made; for odd p, A is widened into one work copy,
+    int32 where its entries' bound fits and int64 otherwise.  The
+    certificate is not checked here; `check_lift` checks it once.
     """
     p, cols = sys.p, sys.cols
     if p == 2:
         return _solve_packed(_pack_primal(sys.matrix, sys.rhs), cols)
-    work = np.concatenate([sys.matrix, sys.rhs[:, None]], axis=1)
+    # entries stay below p + (rank + 1) (p-1)^2, the refutation's first
+    # subtraction included (see the module docstring)
+    bound = p + (min(sys.rows, cols) + 1) * (p - 1) ** 2
+    dtype = np.int32 if bound < 1 << 31 else np.int64
+    work = np.concatenate([sys.matrix, sys.rhs[:, None]], axis=1, dtype=dtype)
     pivots, perm, scales = _forward_eliminate(work, p, cols)
     rank = len(pivots)
     bad = np.flatnonzero(work[rank:, cols] % p)

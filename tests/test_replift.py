@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import over_budget_rep, random_invertible, random_valid_instance, refutes
 from modlift import replift
-from modlift.classify import _bad_group_and_witness
+from modlift.classify import _bad_group_and_witness, induced_witness
 from modlift.formats import family_from_tokens
 from modlift.groups import (
     Presentation,
     Subgroup,
     cyclic_group,
+    dihedral,
     direct_product_cyclic,
     elementary_abelian,
     extend_hom,
@@ -47,6 +48,7 @@ from modlift.replift import (
     restrict,
     validate_rep,
     verify_certificate,
+    _reduce_mod,
     _stack_powers,
 )
 from modlift import rings
@@ -244,9 +246,12 @@ def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed, runs):
     lifts = randomized_lifts(rep, rng) if randomize else canonical_lifts(rep)
     matrix, rhs, defects = kron_linearize(rep, lifts)
     lin = linearize(rep, lifts)
-    for got, want in ((lin.system.matrix, matrix), (lin.system.rhs, rhs)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    got = lin.system.matrix
+    assert got.dtype == np.min_scalar_type(p - 1) and got.shape == matrix.shape
+    assert got.astype(np.int64).tobytes() == matrix.tobytes()
+    got = lin.system.rhs
+    assert got.dtype == rhs.dtype and got.shape == rhs.shape
+    assert got.tobytes() == rhs.tobytes()
     assert [(d.mod, d.a.tobytes()) for d in lin.defects] == [(d.mod, d.a.tobytes()) for d in defects]
 
 
@@ -265,6 +270,64 @@ def test_stack_powers_matches_letter_products(rows):
     for t in range(rows):
         assert out[t].astype(np.int64).tobytes() == want.tobytes(), t
         want = matmul_mod(want, step, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 257, 32749])
+def test_reduce_mod_matches_integer_remainder(p, monkeypatch):
+    # random x below 2^53, the multiples of p nearest 2^53 and their
+    # neighbours, and the small values.  At p = 5, x * (1/p) rounds up to
+    # the next integer for each k p - 1 below, so the correction of a
+    # negative remainder is exercised
+    rng = np.random.default_rng(p)
+    top = ((1 << 53) - 1) // p
+    edges = [k * p + d for k in range(top - 63, top + 1) for d in (-1, 0, 1)]
+    x = np.concatenate([
+        rng.integers(0, 1 << 53, 4000),
+        rng.integers(0, 1 << 40, 4000),
+        np.array([e for e in edges if e < 1 << 53] + [(1 << 53) - 1, (1 << 53) - 2]),
+        np.arange(3 * p),
+    ])
+    for slab in (1 << 16, 64):
+        # one slab, then many slabs of rows
+        monkeypatch.setattr(replift, "_SLAB", slab)
+        got = x.astype(np.float64).reshape(-1, 1)
+        assert (got.astype(np.int64).ravel() == x).all()
+        assert _reduce_mod(got, p) is got
+        assert got.astype(np.int64).ravel().tobytes() == (x % p).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (2, 0, 0), (3, 0, 4), (2, 3, 0, 0)])
+def test_reduce_mod_empty(shape):
+    x = np.empty(shape)
+    assert _reduce_mod(x, 7) is x and x.shape == shape
+
+
+def test_reduce_mod_in_place_on_views():
+    # the strided views _stack_powers reduces: a run's rows inside the
+    # stacked pairs of a chunk, seen as (2, k n, n); and a transposed view
+    p, n = 7, 5
+    rng = np.random.default_rng(0)
+    base = rng.integers(0, 1 << 40, (2, 6, n, n)).astype(np.float64)
+    before = base.copy()
+    rows = base[:, 1:4].reshape(2, 3 * n, n)
+    assert np.shares_memory(rows, base) and not rows.flags.c_contiguous
+    assert _reduce_mod(rows, p) is rows
+    want = before.copy()
+    want[:, 1:4] %= p
+    assert np.array_equal(base, want)
+    t = base[0, 0].T
+    _reduce_mod(t, p)
+    want[0, 0] %= p
+    assert np.array_equal(base, want)
+
+
+def test_linearize_zero_dimensional():
+    # n = 0: every array linearize reduces or writes is empty
+    pres, _ = cyclic_group(3)
+    rep = Representation(CTX3, pres, (Mat.identity(3, 0),), 0)
+    lin = linearize(rep)
+    assert lin.system.matrix.shape == (0, 0) and lin.system.rhs.shape == (0,)
+    assert check_lift(rep).liftable
 
 
 def test_check_lift_walks_runs_in_log_products(monkeypatch):
@@ -566,6 +629,22 @@ def test_linearize_byte_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_linearize_peak_memory():
+    # A is written once, a slab at a time, at its natural width (uint8 for
+    # p < 256): linearize peaks well below the int64 size of A on the D32
+    # (p = 2, 3072 x 2048) and C63 (p = 7, 2025 x 2025) induced witnesses
+    for _, g in (dihedral(32), cyclic_group(63)):
+        rep = induced_witness(g, find_subgroup_witness(g))
+        tracemalloc.start()
+        try:
+            system = linearize(rep).system
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.matrix.dtype == np.uint8
+        assert peak <= 0.5 * system.rows * system.cols * 8
 
 
 def test_linearize_dimension_guard():

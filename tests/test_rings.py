@@ -349,6 +349,9 @@ def _seeded_system(rows, cols, rank, consistent, seed, p=2, summed=(0,)):
 @example(sys=AffineSystem(3, [[1, 2, 0], [2, 1, 1]], [1, 1]))
 @example(sys=AffineSystem(3, [[1], [2]], [2, 1]))
 @example(sys=_seeded_system(330, 320, 310, False, 10, p=32749))
+# the widest int32 work copy: one column at p = 32749, where the update
+# leaves p-1 - (p-1)^2 in the right-hand sides below the pivot
+@example(sys=AffineSystem(32749, [[1], [32748], [32748]], [32748, 32748, 1]))
 # refutations read off the elimination: at p = 5 a row swap, pivots of 2,
 # pivot row 1 with a multiplier at pivot 0, and c.b = 2 before scaling; at
 # p = 2 a sum of four rows whose substitution runs from word 1 into word 0
@@ -389,11 +392,11 @@ def test_solve_matches_reference_solver(sys):
 
 def test_refuted_solve_memory(rng):
     # refuted induced witnesses: D16 (Klein, p = 2) on packed bits, and
-    # C63 (C7, p = 7) on int64 rows.  C63's system has rank 27, too low to
-    # show a copy of the multipliers L (rank x rank).  An upper-bidiagonal
-    # F_7 system of rank 1500, plus the row w.A with rhs w.b + 1, shows one:
-    # its elimination updates only that last row, so a gather of L would
-    # double the peak.
+    # C63 (C7, p = 7) on int32 rows, half of rows * cols * 8.  C63's system
+    # has rank 27, too low to show a copy of the multipliers L (rank x
+    # rank).  An upper-bidiagonal F_7 system of rank 1500, plus the row w.A
+    # with rhs w.b + 1, shows one: its elimination updates only that last
+    # row, so a gather of L would double the peak.
     n, p = 1500, 7
     a = np.diag(rng.integers(1, p, n)) + np.diag(rng.integers(0, p, n - 1), 1)
     b, w = rng.integers(0, p, n), rng.integers(0, p, n)
@@ -404,8 +407,8 @@ def test_refuted_solve_memory(rng):
     )
     for system, shape, bound in (
         (d16, (768, 512), 0.3),
-        (c63, (2025, 2025), 1.25),
-        (bidiagonal, (n + 1, n), 1.25),
+        (c63, (2025, 2025), 0.75),
+        (bidiagonal, (n + 1, n), 0.75),
     ):
         assert (system.rows, system.cols) == shape
         tracemalloc.start()
@@ -415,7 +418,7 @@ def test_refuted_solve_memory(rng):
         finally:
             tracemalloc.stop()
         assert isinstance(res, Inconsistent)
-        assert peak < bound * system.matrix.nbytes
+        assert peak < bound * system.rows * system.cols * 8
 
 
 # --- binomials -----------------------------------------------------------
@@ -579,8 +582,8 @@ def test_linearize_hands_matrix_over():
     finally:
         tracemalloc.stop()
     assert (system.rows, system.cols) == (768, 512)
-    assert peak <= 1.5 * system.matrix.nbytes
-    assert not system.matrix.flags.writeable
+    assert peak <= 1.5 * system.rows * system.cols * 8
+    assert system.matrix.dtype == np.uint8 and not system.matrix.flags.writeable
     kept = AffineSystem(system.p, system.matrix, system.rhs)
     assert kept.matrix is system.matrix and kept.rhs is system.rhs
     # a read-only array out of [0, p) is reduced into a copy
@@ -589,3 +592,7 @@ def test_linearize_hands_matrix_over():
     reduced = AffineSystem(3, raw, raw[0])
     assert reduced.matrix.tolist() == [[0, 2], [2, 2]] and reduced.rhs.tolist() == [0, 2]
     assert raw.tolist() == [[3, -1], [2, 5]]
+    # a writeable narrow array is reduced into an int64 copy
+    narrow = np.array([[1, 2], [0, 1]], dtype=np.uint8)
+    copied = AffineSystem(3, narrow, narrow[0])
+    assert copied.matrix.dtype == np.int64 and not np.shares_memory(copied.matrix, narrow)
