@@ -42,7 +42,6 @@ class NotASubgroup(Error):
 
 
 MAX_ORDER = 4096
-EXHAUSTIVE_AUDIT_ORDER = 256
 
 # A word is a sequence of letters (generator index, exponent sign +-1).
 Word = tuple
@@ -98,9 +97,9 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     table[a, b] is the index of a*b and index 0 is the identity.  The group
-    axioms are audited at construction: exhaustively up to order 256, on a
-    deterministic random sample above that.  Families built here also carry
-    their presentation with realized generator indices.
+    axioms are audited exactly at construction, associativity by Light's
+    test over a greedy generating set (see _audit).  Families built here
+    also carry their presentation with realized generator indices.
     """
 
     __slots__ = ("order", "table", "inverse", "orders", "presentation", "gen_indices", "name")
@@ -150,19 +149,22 @@ class FiniteGroup:
         bad = np.flatnonzero((zeros.sum(axis=1) != 1) | (t[inv, idx] != 0))
         if bad.size:
             raise GroupAuditError(f"element {bad[0]} lacks a two-sided inverse")
-        if n <= EXHAUSTIVE_AUDIT_ORDER:
-            left = t[t]              # left[a,b,c] = (a*b)*c
-            right = t[:, t]          # right[a,b,c] = a*(b*c)
-            if not np.array_equal(left, right):
+        # Light's test over greedy generators: the s with (x s) y = x (s y)
+        # for all x, y contain 0 and are closed under products, so they hold
+        # closure(gens), the whole table.  In a group each pick at least
+        # doubles the subgroup, so fewer than n.bit_length() picks suffice.
+        gens, span = [], closure(self, ())
+        while len(span) < n:
+            if len(gens) == n.bit_length():
                 raise GroupAuditError("associativity fails")
-        else:
-            rng = np.random.default_rng(0)
-            samples = min(200_000, n * n * n)
-            a = rng.integers(0, n, samples)
-            b = rng.integers(0, n, samples)
-            c = rng.integers(0, n, samples)
-            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
-                raise GroupAuditError("associativity fails on sampled triples")
+            gens.append(next((i for i, x in enumerate(span) if i != x), len(span)))
+            span = closure(self, gens)
+        step = max(1, (1 << 18) // n)   # rows per slab: 2 MB per gathered slab
+        for s in gens:
+            for lo in range(0, n, step):
+                rows = t[lo : lo + step]
+                if not np.array_equal(t[rows[:, s]], np.take(rows, t[s], axis=1)):
+                    raise GroupAuditError("associativity fails")
         inv.flags.writeable = False
         return inv
 
@@ -212,17 +214,19 @@ class FiniteGroup:
 
 
 def closure(g: FiniteGroup, seed: Iterable[int]) -> tuple:
-    """Subgroup generated by seed, as a sorted element tuple."""
+    """Subgroup generated by seed, as a sorted element tuple: the elements
+    reached from 0 by right multiplication with seed, which is the subgroup
+    in a finite group and the set the table audit's Light test needs."""
     elems = {0}
     frontier = [0]
     gens = sorted(set(seed))
     while frontier:
         x = frontier.pop()
         for s in gens:
-            for y in (g.mul(x, s), g.mul(x, g.inv_of(s))):
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
+            y = g.mul(x, s)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
     return tuple(sorted(elems))
 
 
@@ -567,9 +571,9 @@ def is_listed_family(g: FiniteGroup) -> Optional[str]:
 
     C2n:       order 2^a, cyclic.
     C3xC2n:    order 3*2^a, cyclic (the direct product is cyclic).
-    C3semiC2n: order 3*2^a, non-abelian, cyclic Sylow-2, with x of order 3
-               and y generating a Sylow-2 such that y x y^-1 = x^-1 and
-               <x, y> is the whole group.
+    C3semiC2n: order 3*2^a, x of order 3 and y of order 2^a with y x y^-1 =
+               x^-1 and <x, y> the whole group (so the Sylow-2 <y> is cyclic
+               and the group non-abelian).
     """
     n = g.order
     two_part = n & -n
@@ -580,11 +584,6 @@ def is_listed_family(g: FiniteGroup) -> Optional[str]:
         return None
     if g.is_cyclic():
         return "C3xC2n"
-    if g.is_abelian():
-        return None
-    syl2 = sylow(g, 2)
-    if not any(g.order_of(x) == syl2.order for x in syl2.elements):
-        return None
     order3 = [x for x in range(1, n) if g.order_of(x) == 3]
     gens2 = [y for y in range(1, n) if g.order_of(y) == two_part]
     for x in order3:

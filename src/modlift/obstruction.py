@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Error
 from .groups import FiniteGroup, cyclic_group
-from .rings import Mat, Poly, PrimeCtx, is_prime, power, rref
+from .rings import Mat, Poly, PrimeCtx, power, rref
 from .replift import Representation, UnrealizedPresentation, validate_rep
 
 
@@ -76,12 +76,14 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.group, self.mod, self.coeffs - other.coeffs)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Convolution through the multiplication table."""
+        """Convolution through the multiplication table; each scaled row is
+        reduced before it is summed, so no term reaches mod^2 (2^60 at p^2,
+        p <= PRIME_CAP)."""
         self._check(other)
         table = self.group.table
         out = np.zeros(self.group.order, dtype=np.int64)
         for x in np.flatnonzero(self.coeffs):
-            np.add.at(out, table[x], int(self.coeffs[x]) * other.coeffs)
+            np.add.at(out, table[x], int(self.coeffs[x]) * other.coeffs % self.mod)
         return GroupAlgebraElement(self.group, self.mod, out)
 
     def __pow__(self, k: int) -> "GroupAlgebraElement":
@@ -159,8 +161,7 @@ def theta(
     p2 = p * p
     if h.mod != p:
         raise ValueError("mixed characteristics")
-    if not is_prime(p):
-        raise ValueError(f"theta needs coefficients over F_p, got modulus {p}")
+    PrimeCtx(p)  # p <= PRIME_CAP keeps the products over Z/p^2 exact
     if not (f * h).is_zero():
         raise ProductNotZero("theta requires f h = 0 in F_p[G]")
     fhat = f.lift(p2) if lift_f is None else lift_f

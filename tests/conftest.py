@@ -117,6 +117,22 @@ def over_budget_rep():
     return Representation(PrimeCtx(2), pres, (eye, eye), 64)
 
 
+def swapped_c1024_table(a=4, c=2):
+    """C1024's table t[i, j] = (i + j) mod 1024 with the intercalate on rows
+    a, a + 512 and columns c, c + 512 swapped (0 < a, c < 512).
+
+    By default rows 4 and 516 and columns 2 and 514 hold 6 and 518; after
+    the swap t[4, 2] = t[516, 514] = 518 and t[4, 514] = t[516, 2] = 6.  The
+    identity, the inverses and the Latin property survive, but (4 * 2) * 1 =
+    519 while 4 * (2 * 1) = 7.
+    """
+    idx = np.arange(1024)
+    t = (idx[:, None] + idx) % 1024
+    t[a, c] = t[a + 512, c + 512] = a + c + 512
+    t[a, c + 512] = t[a + 512, c] = a + c
+    return t
+
+
 @contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block once it has run for seconds (POSIX only)."""

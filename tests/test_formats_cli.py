@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import over_budget_rep
+from conftest import over_budget_rep, swapped_c1024_table
 from modlift import reproduce
 from modlift.cli import main
 from modlift.classify import classify, klein_witness_rep
@@ -366,6 +366,17 @@ def test_cli_classify_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "VERDICT: NOT_LIFTABLE (Cp)" in out
+
+
+def test_cli_classify_rejects_non_associative_table(tmp_path, capsys):
+    path = tmp_path / "swapped.tbl"
+    rows = [" ".join(map(str, row)) for row in swapped_c1024_table().tolist()]
+    path.write_text("\n".join(["order 1024", *rows]) + "\n")
+    rc = main(["classify", "--table", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: associativity fails")
+    assert "VERDICT" not in captured.out
 
 
 def test_cli_theta(tmp_path, capsys):

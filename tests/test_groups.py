@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_invertible, time_limit
+from conftest import random_invertible, swapped_c1024_table, time_limit
 from modlift.classify import classify
 from modlift.formats import family_from_tokens
 from modlift.groups import (
@@ -206,6 +206,64 @@ def test_audit_rejects_non_group():
             FiniteGroup(table)
 
 
+# the second swap breaks only triples (x s) y with x >= 299, past the
+# audit's first slab of rows
+@pytest.mark.parametrize("a, c", [(4, 2), (300, 5)])
+def test_audit_rejects_swapped_intercalate_at_order_1024(a, c):
+    t = swapped_c1024_table(a, c)
+    assert t[t[a, c], 1] != t[a, t[c, 1]]
+    with pytest.raises(GroupAuditError, match="associativity fails"):
+        FiniteGroup(t)
+
+
+def test_audit_memory_at_order_256():
+    table = cyclic_group(256)[1].table
+    tracemalloc.start()
+    try:
+        FiniteGroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+AUDIT_TABLES = [family_from_tokens(spec.split())[1].table for spec in (
+    "C 8", "C 12", "C 16", "CxC 2 4", "CxC 2 8", "CxC 4 4", "D 8", "D 16", "Q 8", "Q 16", "C3semi 4",
+)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.sampled_from(range(len(AUDIT_TABLES))),
+    swaps=st.lists(st.tuples(st.integers(1, 15), st.integers(1, 15), st.integers(0, 15)), min_size=1, max_size=3),
+)
+@example(which=0, swaps=[(1, 2, 0)])             # rejected
+@example(which=0, swaps=[(1, 2, 0), (1, 2, 1)])  # the second swap undoes the first
+def test_audit_matches_n3_reference_on_swapped_tables(which, swaps):
+    """Swapping an intercalate (rows a, b and columns c, d with t[a, c] =
+    t[b, d] and t[a, d] = t[b, c]) away from row 0, column 0 and the zeros
+    keeps the identity, the inverses and the Latin property; the audit must
+    accept the result exactly when the n^3 comparison does."""
+    t = AUDIT_TABLES[which].copy()
+    n = len(t)
+    for a, c, k in swaps:
+        a, c = a % n, c % n
+        u = t[a, c]
+        d = (t == u).argmax(axis=1)    # column of u in each row
+        rows = [b for b in range(1, n) if b != a and d[b] and t[b, c] and t[a, d[b]] == t[b, c]]
+        if 0 in (a, c, u) or not rows:
+            continue
+        b = rows[k % len(rows)]
+        v = t[b, c]
+        t[a, c] = t[b, d[b]] = v
+        t[a, d[b]] = t[b, c] = u
+    if np.array_equal(t[t], t[:, t]):
+        FiniteGroup(t)
+    else:
+        with pytest.raises(GroupAuditError, match="associativity fails"):
+            FiniteGroup(t)
+
+
 def test_relators_must_hold():
     pres = Presentation(("s",), (wpow(0, 3),))
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
@@ -360,7 +418,7 @@ def test_witness_iff_not_listed():
 
 
 def test_large_group_sampled_audit():
-    # above the exhaustive-audit threshold the axioms are checked on samples
+    # the audit is exact at this order too: nothing is sampled
     _, g = cyclic_group(1024)
     assert g.order == 1024
     assert g.order_of(1) == 1024

@@ -52,6 +52,14 @@ def test_algebra_mismatch():
         GroupAlgebraElement.one(g3, 3) * GroupAlgebraElement.one(g5, 3)
 
 
+def test_algebra_product_exact_at_prime_cap():
+    # over Z/p^2 each of the 16 terms is (p^2 - 1)^2 ~ 2^60 before reduction
+    p = 32749
+    _, g = cyclic_group(16)
+    a = GroupAlgebraElement(g, p * p, np.full(16, p * p - 1))
+    assert (a * a).coeffs.tolist() == [16] * 16
+
+
 # --- theta -------------------------------------------------------------------
 
 
@@ -103,6 +111,20 @@ def test_theta_well_defined_under_relifts(rng):
         lh = GroupAlgebraElement(g, 9, h.coeffs + 3 * rng.integers(0, 3, g.order))
         cls = theta(g, f, h, lift_f=lf, lift_h=lh)
         assert cls.representative == base.representative
+
+
+def test_theta_relifts_at_prime_cap():
+    # lifts with every coefficient shifted by p(p - 1) make products near 2^60
+    p = 32749
+    _, g = cyclic_group(16)
+    f = GroupAlgebraElement(g, p, np.ones(16, dtype=np.int64))
+    h = one_minus_generator(g, p)
+    shift = np.full(16, p * (p - 1))
+    lf = GroupAlgebraElement(g, p * p, f.coeffs + shift)
+    lh = GroupAlgebraElement(g, p * p, h.coeffs + shift)
+    assert theta(g, f, h, lift_f=lf, lift_h=lh).representative == theta(g, f, h).representative
+    with pytest.raises(ValueError, match="prime"):
+        theta(g, f.lift(p * p), h.lift(p * p))
 
 
 # --- cyclic witnesses -----------------------------------------------------------
