@@ -217,8 +217,7 @@ def format_group_table(g: FiniteGroup) -> str:
 
 
 def parse_algebra_element(text: str, group: FiniteGroup, mod: int) -> GroupAlgebraElement:
-    if mod < 2:
-        raise ValueError("modulus must be >= 2")
+    GroupAlgebraElement.check_modulus(mod)
     values = []
     saw_elt = False
     for lineno, toks in _logical_lines(text):

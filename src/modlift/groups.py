@@ -144,9 +144,13 @@ class FiniteGroup:
         idx = np.arange(n)
         if not np.array_equal(t[0], idx) or not np.array_equal(t[:, 0], idx):
             raise GroupAuditError("element 0 is not a two-sided identity")
-        zeros = t == 0
-        inv = zeros.argmax(axis=1)
-        bad = np.flatnonzero((zeros.sum(axis=1) != 1) | (t[inv, idx] != 0))
+        step = max(1, (1 << 18) // n)   # rows per slab: 2 MB per gathered slab
+        inv, once = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+        for lo in range(0, n, step):
+            zeros = t[lo : lo + step] == 0
+            inv[lo : lo + step] = zeros.argmax(axis=1)
+            once[lo : lo + step] = zeros.sum(axis=1) == 1
+        bad = np.flatnonzero(~once | (t[inv, idx] != 0))
         if bad.size:
             raise GroupAuditError(f"element {bad[0]} lacks a two-sided inverse")
         # Light's test over greedy generators: the s with (x s) y = x (s y)
@@ -159,7 +163,6 @@ class FiniteGroup:
                 raise GroupAuditError("associativity fails")
             gens.append(next((i for i, x in enumerate(span) if i != x), len(span)))
             span = closure(self, gens)
-        step = max(1, (1 << 18) // n)   # rows per slab: 2 MB per gathered slab
         for s in gens:
             for lo in range(0, n, step):
                 rows = t[lo : lo + step]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Error
 from .groups import FiniteGroup, cyclic_group
-from .rings import Mat, Poly, PrimeCtx, power, rref
+from .rings import PRIME_CAP, Mat, Poly, PrimeCtx, power, rref
 from .replift import Representation, UnrealizedPresentation, validate_rep
 
 
@@ -39,8 +39,7 @@ class GroupAlgebraElement:
     __slots__ = ("group", "mod", "coeffs")
 
     def __init__(self, group: FiniteGroup, mod: int, coeffs):
-        if mod < 2:
-            raise ValueError("modulus must be >= 2")
+        self.check_modulus(mod)
         c = np.array(coeffs, dtype=np.int64) % mod
         if c.shape != (group.order,):
             raise ValueError(f"need {group.order} coefficients, got {c.shape}")
@@ -48,6 +47,15 @@ class GroupAlgebraElement:
         self.group = group
         self.mod = mod
         self.coeffs = c
+
+    @staticmethod
+    def check_modulus(mod: int) -> None:
+        """Products are exact int64 sums while mod^2 < 2^63: mod must lie in
+        [2, PRIME_CAP^2], which holds Z/p^2 for every admitted p."""
+        if mod < 2:
+            raise ValueError("modulus must be >= 2")
+        if mod > PRIME_CAP ** 2:
+            raise ValueError(f"modulus must be <= PRIME_CAP^2 = {PRIME_CAP ** 2}")
 
     @classmethod
     def zero(cls, group: FiniteGroup, mod: int) -> "GroupAlgebraElement":

@@ -17,20 +17,23 @@ In the row-major layout the map A |-> v A v^-1 is kron(v, (v^-1)^T), so
 entry [(a,b),(c,d)] of generator g's block is sum_t e_t v_t[a,c] v_t^-1[d,b]
 over the letters t of g.  `linearize` walks each relator once, stacks the
 prefixes v_t and v_t^-1 as rows of two matrices and forms that sum as one
-float64 matrix product per generator.  The walk goes one run at a time: a
+float matrix product per generator.  The walk goes one run at a time: a
 run is a maximal block g^(+-m) of one repeated letter, and its m stacked
 prefixes are v g^t for t < m, which are made by doubling,
-[P_k; P_k g^k], in O(log m) float64 products of stacked (k n, n) by (n, n)
+[P_k; P_k g^k], in O(log m) float products of stacked (k n, n) by (n, n)
 matrices.  Their entries are below p <= PRIME_CAP and n <= MAX_DIMENSION,
-so those sums stay below 64 * (p-1)^2 < 2^53.  The letters go in chunks of
-_CHUNK and the stacked sums are reduced mod p after each chunk, so no sum
-exceeds _CHUNK * (p-1)^2 < 2^53 either, and float64 is exact for every
-admitted prime: there is no second, integer path.  Every reduction is
-_reduce_mod's floor-and-correct, q = floor(x * (1/p)) and x - q p, exact
-below 2^53 and 5-60 times faster here than numpy's fmod, whose time grows
-with x / p.  A is written once, at its natural width (uint8 for p < 2^8,
-uint16 otherwise): each chunk's product is formed, reduced and added into
-A one slab of output rows at a time.  The same walk evaluates the relator
+so those sums stay below 64 * (p-1)^2.  The letters go in chunks of _CHUNK
+and the stacked sums are reduced mod p after each chunk, so no sum exceeds
+_CHUNK * (p-1)^2 + p either.  Every term is >= 0, so every partial sum, in
+any BLAS order, is an integer below that bound, and the float width follows
+from p as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008):
+float32 while the bound is under 2^24 (p <= 181), float64, exact below
+2^53, for every larger admitted prime.  There is no integer path.  Every
+reduction is _reduce_mod's floor-and-correct, q = floor(x * (1/p)) and
+x - q p, exact below 2^24 or 2^53 and 5-60 times faster here than numpy's
+fmod.  A is written once, at its natural width (uint8 for p < 2^8, uint16
+otherwise): each chunk's product is formed, reduced and added into A one
+slab of output rows at a time.  The same walk evaluates the relator
 at the lifts over Z/p^2, in O(log m) matmul_mod products per run, which
 gives E_w and rejects a relator that fails mod p, so it is the one relator
 walk of `check_lift`.  Certificates are re-checked with `eval_word`, which
@@ -205,24 +208,31 @@ def relator_defect(rep: Representation, naive_lifts: Sequence[Mat], word: Word) 
 
 
 # Letters per stacked product.  Each entry of one product is a sum of at most
-# _CHUNK terms, each below (p-1)^2 < 2^30 (p <= PRIME_CAP = 2^15), so float64
-# holds it exactly for any _CHUNK below 2^23.  The chunk also caps the stacked
-# prefixes at 2 * _CHUNK * n^2 floats, whatever the length of the relator.
+# _CHUNK terms in [0, (p-1)^2], below 2^24 for p <= 181 (float32 is exact)
+# and below 2^53 for every p <= PRIME_CAP = 2^15 (float64 is; _float_dtype).
+# It also caps the stacked prefixes at 2 * _CHUNK * n^2 floats.
 _CHUNK = 512
 # Floats per slab: a reduction's temporaries, and a block product's output
 # (at least one row block of n^3), stay this small whatever the size of A.
 _SLAB = 1 << 16
 
 
+def _float_dtype(p: int):
+    """The float width linearize computes in over F_p: float32 where every
+    chunk sum, below _CHUNK * (p-1)^2 + p, fits its 24-bit mantissa (p <=
+    181), float64 otherwise."""
+    return np.float32 if _CHUNK * (p - 1) ** 2 + p < 1 << 24 else np.float64
+
+
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce x, float64 integers in [0, 2^53) with x.ndim >= 2, to [0, p)
-    in place; return x.
+    """Reduce x, integers in [0, 2^m) with x.ndim >= 2, to [0, p) in place;
+    return x.  m is 24 for float32, 53 for float64.
 
     One slab of _SLAB floats along the next-to-last axis at a time, so the
     temporaries stay small: q = floor(x * (1/p)), x -= q * p, and one
-    correction.  1/p and the product each round by a relative 2^-53, so
+    correction.  1/p and the product each round by a relative 2^-m, so
     x * (1/p) is within 2/p of x/p and q is off by at most one: one too
-    large only when x = -1 mod p, where q * p = x + 1 <= 2^53 is exact and
+    large only when x = -1 mod p, where q * p = x + 1 <= 2^m is exact and
     x - q * p = -1, or one too small, which leaves x - q * p in [p, 2p).
     Adding p to the one and subtracting it from the other is exact.  For
     p = 2, 1/p and q are exact.  numpy's fmod gives the same values in time
@@ -248,10 +258,10 @@ def _stack_powers(out, step, p) -> None:
     t < out.shape[-3], batched over the leading axes of out and step.
 
     The rows are made by doubling, out[k:2k] = out[:k] @ step^k, with out[:k]
-    stacked as one (k*n, n) matrix, so m rows take O(log m) float64 GEMMs.
-    All operands are float64 in [0, p) with n <= MAX_DIMENSION, so every sum
-    stays below 64 * (p-1)^2 < 2^53 and each product is exact; _reduce_mod
-    reduces it in place.
+    stacked as one (k*n, n) matrix, so m rows take O(log m) GEMMs.  All
+    operands are in [0, p) and n <= MAX_DIMENSION, so every sum stays below
+    64 * (p-1)^2: under 2^24 in float32 (p <= 181), under 2^53 in float64,
+    so each product is exact; _reduce_mod reduces it in place.
     """
     *lead, m, n, _ = out.shape
     done, step_k = 1, step
@@ -306,8 +316,9 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
     """
     n = out.shape[0]
     n2 = n * n
+    fdt = _float_dtype(p)
     eye = np.eye(n, dtype=np.int64)
-    w, vinv_t = eye, np.eye(n)
+    w, vinv_t = eye, np.eye(n, dtype=fdt)
 
     def mul_p2(a, b):
         return matmul_mod(a, b, p2)
@@ -323,7 +334,7 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
         counts = Counter()
         for g, _, _, c in chunk:
             counts[g] += c
-        pairs = {g: np.empty((2, c, n, n)) for g, c in counts.items()}
+        pairs = {g: np.empty((2, c, n, n), dtype=fdt) for g, c in counts.items()}
         filled = dict.fromkeys(counts, 0)
         for g, e, m, c in chunk:
             step = steps[g, e]
@@ -368,19 +379,19 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     certificates stay auditable.  Each relator is walked once, one run
     g^(+-m) at a time, and generator g's block is X^T Y for the rows X_t =
     e_t v_t and Y_t = v_t^-1 stacked over the letters t of g (see the
-    module docstring).  A run's rows are made by doubling, each step one
-    float64 product whose sums stay below 64 * (p-1)^2 < 2^53.  The block
-    product is taken in float64 over chunks of _CHUNK letters, so its sums
-    stay below _CHUNK * (p-1)^2 < 2^53, where float64 is exact for every
-    prime up to PRIME_CAP; no integer fallback is needed.  Each chunk's
-    product is formed and reduced one slab of rows at a time and added into
-    A, whose dtype is np.min_scalar_type(p - 1); the system keeps that
-    narrow, read-only A without a copy, and b as int64.  The same walk
-    gives each relator's defect E_w, in O(log m)
-    matmul_mod products per run over Z/p^2.  A singular generator, a
-    relator that fails mod p (both with `validate_rep`'s messages) and,
-    before any allocation, a system over MAX_SYSTEM_BYTES raise
-    InvalidRepresentation.
+    module docstring).  All float work is in _float_dtype(p), float32 for p
+    <= 181 and float64 above.  A run's rows are made by doubling, each step
+    one product whose sums stay below 64 * (p-1)^2.  The block product is
+    taken over chunks of _CHUNK letters, so its nonnegative sums stay below
+    _CHUNK * (p-1)^2 + p, under 2^24 in float32 and 2^53 in float64: exact
+    in any summation order, with no integer fallback.  Each chunk's product
+    is formed and reduced one slab of rows at a time and added into A,
+    whose dtype is np.min_scalar_type(p - 1); the system keeps that narrow,
+    read-only A without a copy, and b as int64.  The same walk gives each
+    relator's defect E_w, in O(log m) matmul_mod products per run over
+    Z/p^2.  A singular generator, a relator that fails mod p (both with
+    `validate_rep`'s messages) and, before any allocation, a system over
+    MAX_SYSTEM_BYTES raise InvalidRepresentation.
     """
     p, p2 = rep.ctx.p, rep.ctx.p2
     n = rep.n
@@ -396,11 +407,12 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     _check_naive_lifts(rep, naive_lifts)
     inverted = {g for word in relators for g, e in word if e == -1}
     steps, lift_steps = {}, {}
+    fdt = _float_dtype(p)
     for g, (m, m_inv) in enumerate(zip(rep.gen_mats, _generator_inverses(rep))):
         a, b = m.a, m_inv.a
-        steps[g, 1], lift_steps[g, 1] = np.array((a, b.T), dtype=np.float64), naive_lifts[g].a
+        steps[g, 1], lift_steps[g, 1] = np.array((a, b.T), dtype=fdt), naive_lifts[g].a
         if g in inverted:
-            steps[g, -1], lift_steps[g, -1] = np.array((b, a.T), dtype=np.float64), naive_lifts[g].inv().a
+            steps[g, -1], lift_steps[g, -1] = np.array((b, a.T), dtype=fdt), naive_lifts[g].inv().a
     matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.min_scalar_type(p - 1))
     rhs = np.zeros((len(relators), n, n), dtype=np.int64)
     defects = []

@@ -8,7 +8,9 @@ narrowest of these that holds p - 1), and as a reduced int64 copy
 otherwise.  It is eliminated once, each row keeping its multipliers, so a
 refutation is read off the same elimination.  Over F_2 rows are packed 64
 bits to a word, straight from A, and eliminated with XOR and the same
-pivots as for odd p, so certificates do not depend on the kernel.  Over
+pivots as for odd p, so certificates do not depend on the kernel.  Both
+kernels scan only the columns of A that hold a nonzero entry: row
+operations keep a zero column zero, so it never holds a pivot.  Over
 odd p, A is widened into a work copy whose rows are reduced mod p only
 where a value is read: the entries the pivot search finds, the pivot row
 when it is chosen, the right-hand sides left below the rank, and the rows
@@ -358,13 +360,15 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
     which is its multiplier mod p; pivot rows are reduced to [0, p) but not
     zero left of their pivots.  Rows below the rank may stay unreduced: one
     is reduced when a column scan finds in it a nonzero multiple of p and
-    keeps no entry of the column.
+    keeps no entry of the column.  Row operations keep a column that starts
+    all zero all zero, so only the columns holding a nonzero entry at the
+    start are scanned; pivots and multipliers are those of a scan of all.
     """
     rows = work.shape[0]
     pivots, scales = [], []
     perm = np.arange(rows)
     r = 0
-    for j in range(pivot_cols):
+    for j in np.flatnonzero(work[:, :pivot_cols].any(axis=0)).tolist():
         if r == rows:
             break
         nz = np.flatnonzero(work[r:, j])
@@ -474,9 +478,11 @@ def _pack_primal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return words
 
 
-def _solve_packed(words: np.ndarray, cols: int) -> SolveResult:
+def _solve_packed(words: np.ndarray, cols: int, live: list) -> SolveResult:
     """solve_affine over F_2 on packed rows, with _forward_eliminate's pivots.
 
+    live lists the columns of A that hold a nonzero entry, in order; as in
+    _forward_eliminate, the other columns stay zero and are not scanned.
     The pivot row is XORed into the rows below from its pivot's word on,
     with its bits up to the pivot masked off: a target keeps bit j, its
     multiplier, and takes none of the pivot row's.  Back-substitution
@@ -487,7 +493,7 @@ def _solve_packed(words: np.ndarray, cols: int) -> SolveResult:
     pivots = []
     perm = np.arange(rows)
     r = 0
-    for j in range(cols):
+    for j in live:
         if r == rows:
             break
         w = j >> 6
@@ -534,7 +540,8 @@ def solve_affine(sys: AffineSystem) -> SolveResult:
     """
     p, cols = sys.p, sys.cols
     if p == 2:
-        return _solve_packed(_pack_primal(sys.matrix, sys.rhs), cols)
+        live = np.flatnonzero(sys.matrix.any(axis=0)).tolist()
+        return _solve_packed(_pack_primal(sys.matrix, sys.rhs), cols, live)
     # entries stay below p + (rank + 1) (p-1)^2, the refutation's first
     # subtraction included (see the module docstring)
     bound = p + (min(sys.rows, cols) + 1) * (p - 1) ** 2

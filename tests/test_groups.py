@@ -227,6 +227,31 @@ def test_audit_memory_at_order_256():
     assert peak <= 16 * 2**20
 
 
+def test_audit_memory_at_order_4096():
+    # the inverse check finds each row's zero one slab of rows at a time;
+    # the n x n bool array t == 0 alone would be 16 MiB here
+    table = family_from_tokens(["C", "4096"])[1].table
+    assert not table.flags.writeable
+    tracemalloc.start()
+    try:
+        FiniteGroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("row, col", [(5, 7), (4000, 97)])
+def test_audit_finds_missing_inverse_in_any_slab(row, col):
+    # a second zero in row: its inverse is not unique, in the first slab of
+    # 64 rows and in the last one
+    t = family_from_tokens(["C", "4096"])[1].table.copy()
+    assert t[row, col] != 0
+    t[row, col] = 0
+    with pytest.raises(GroupAuditError, match=f"element {row} lacks a two-sided inverse"):
+        FiniteGroup(t)
+
+
 AUDIT_TABLES = [family_from_tokens(spec.split())[1].table for spec in (
     "C 8", "C 12", "C 16", "CxC 2 4", "CxC 2 8", "CxC 4 4", "D 8", "D 16", "Q 8", "Q 16", "C3semi 4",
 )]

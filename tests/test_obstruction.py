@@ -15,7 +15,8 @@ from modlift.obstruction import (
     theta,
 )
 from modlift.replift import check_lift, validate_rep
-from modlift.rings import Mat, Poly, PrimeCtx, binom_div_p
+from modlift.formats import parse_algebra_element
+from modlift.rings import PRIME_CAP, Mat, Poly, PrimeCtx, binom_div_p
 
 
 def test_algebra_identity():
@@ -57,6 +58,20 @@ def test_algebra_product_exact_at_prime_cap():
     p = 32749
     _, g = cyclic_group(16)
     a = GroupAlgebraElement(g, p * p, np.full(16, p * p - 1))
+    assert (a * a).coeffs.tolist() == [16] * 16
+
+
+def test_algebra_modulus_capped_at_prime_cap_squared():
+    # past 2^31.5 the int64 products overflow: over Z/3^25 on C16, (a*a)[0]
+    # for all-(mod-1) coefficients read 624261549765, not 16
+    _, g = cyclic_group(16)
+    for mod in (3**25, PRIME_CAP**2 + 1):
+        with pytest.raises(ValueError, match="modulus must be <="):
+            GroupAlgebraElement(g, mod, np.ones(16, dtype=np.int64))
+        with pytest.raises(ValueError, match="modulus must be <="):
+            parse_algebra_element("elt" + " 1" * 16 + "\n", g, mod)
+    mod = 32749**2
+    a = parse_algebra_element("elt" + f" {mod - 1}" * 16 + "\n", g, mod)
     assert (a * a).coeffs.tolist() == [16] * 16
 
 

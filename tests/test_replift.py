@@ -48,6 +48,7 @@ from modlift.replift import (
     restrict,
     validate_rep,
     verify_certificate,
+    _float_dtype,
     _reduce_mod,
     _stack_powers,
 )
@@ -224,7 +225,8 @@ def random_relator_rep(rng, p, n, k, length, runs=False):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.sampled_from([2, 3, 5, 7, 32749]),
+    # 181 is the last prime linearize takes in float32, 191 the first above
+    p=st.sampled_from([2, 3, 5, 7, 181, 191, 32749]),
     n=st.integers(1, 5),
     k=st.integers(1, 3),
     length=st.one_of(
@@ -240,6 +242,8 @@ def random_relator_rep(rng, p, n, k, length, runs=False):
 @example(p=32749, n=5, k=2, length=_CHUNK + 7, randomize=True, seed=1, runs=False)
 # (g0^a g1^-b z)^d with runs of both signs across chunk boundaries
 @example(p=3, n=4, k=3, length=_CHUNK + 40, randomize=True, seed=3, runs=True)
+# float32 at its last prime, with a run of 641 letters across a chunk boundary
+@example(p=181, n=4, k=2, length=2 * _CHUNK + 5, randomize=True, seed=7, runs=True)
 def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed, runs):
     rng = np.random.default_rng(seed)
     rep = random_relator_rep(rng, p, n, k, length, runs)
@@ -255,45 +259,75 @@ def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed, runs):
     assert [(d.mod, d.a.tobytes()) for d in lin.defects] == [(d.mod, d.a.tobytes()) for d in defects]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 37, 64])
-def test_stack_powers_matches_letter_products(rows):
-    # the largest dimension and prime: the doubling's float64 sums reach
-    # 64 (p-1)^2, which must stay exact
-    p, n = 32749, MAX_DIMENSION
+@pytest.mark.parametrize(
+    "rows, p, dtype",
+    [pytest.param(rows, 32749, np.float64, id=str(rows)) for rows in (1, 2, 37, 64)]
+    + [pytest.param(rows, 181, np.float32, id=f"{rows}-float32") for rows in (1, 2, 37, 64)],
+)
+def test_stack_powers_matches_letter_products(rows, p, dtype):
+    # the largest dimension and the largest prime of each float width: the
+    # doubling's sums reach 64 (p-1)^2, which must stay exact
+    assert _float_dtype(p) == dtype
+    n = MAX_DIMENSION
     rng = np.random.default_rng(rows)
     start = rng.integers(0, p, (n, n))
     step = rng.integers(0, p, (n, n))
-    out = np.empty((rows, n, n))
+    out = np.empty((rows, n, n), dtype=dtype)
     out[0] = start
-    _stack_powers(out, step.astype(np.float64), p)
+    _stack_powers(out, step.astype(dtype), p)
     want = start
     for t in range(rows):
         assert out[t].astype(np.int64).tobytes() == want.tobytes(), t
         want = matmul_mod(want, step, p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 251, 257, 32749])
-def test_reduce_mod_matches_integer_remainder(p, monkeypatch):
-    # random x below 2^53, the multiples of p nearest 2^53 and their
-    # neighbours, and the small values.  At p = 5, x * (1/p) rounds up to
+@pytest.mark.parametrize(
+    "p, dtype",
+    [pytest.param(p, np.float64, id=str(p)) for p in (2, 3, 5, 251, 257, 32749)]
+    + [pytest.param(p, np.float32, id=f"{p}-float32") for p in (2, 3, 5, 7, 179, 181)],
+)
+def test_reduce_mod_matches_integer_remainder(p, dtype, monkeypatch):
+    # random x below 2^m (m = 53 for float64, 24 for float32), the multiples
+    # of p nearest 2^m and their neighbours, and the small values.  At p = 5
+    # in float64, and at p = 3, 7 and 181 in float32, x * (1/p) rounds up to
     # the next integer for each k p - 1 below, so the correction of a
     # negative remainder is exercised
+    bits = np.finfo(dtype).nmant + 1
     rng = np.random.default_rng(p)
-    top = ((1 << 53) - 1) // p
+    top = ((1 << bits) - 1) // p
     edges = [k * p + d for k in range(top - 63, top + 1) for d in (-1, 0, 1)]
     x = np.concatenate([
-        rng.integers(0, 1 << 53, 4000),
-        rng.integers(0, 1 << 40, 4000),
-        np.array([e for e in edges if e < 1 << 53] + [(1 << 53) - 1, (1 << 53) - 2]),
+        rng.integers(0, 1 << bits, 4000),
+        rng.integers(0, 1 << (bits - 13), 4000),
+        np.array([e for e in edges if e < 1 << bits] + [(1 << bits) - 1, (1 << bits) - 2]),
         np.arange(3 * p),
     ])
     for slab in (1 << 16, 64):
         # one slab, then many slabs of rows
         monkeypatch.setattr(replift, "_SLAB", slab)
-        got = x.astype(np.float64).reshape(-1, 1)
+        got = x.astype(dtype).reshape(-1, 1)
         assert (got.astype(np.int64).ravel() == x).all()
         assert _reduce_mod(got, p) is got
         assert got.astype(np.int64).ravel().tobytes() == (x % p).tobytes()
+
+
+@pytest.mark.parametrize("p", [181, 191])
+def test_chunk_product_exact_at_float_width(p):
+    # the largest sums linearize forms: one chunk's (n^2, _CHUNK) @
+    # (_CHUNK, n^2) block product with every operand p - 1, in the float
+    # width it picks for p, against the int64 product.  The sums reach
+    # _CHUNK (p-1)^2: 16,588,800 at p = 181, below 2^24 = 16,777,216, and
+    # 18,483,200 at p = 191
+    dtype, n2, top = _float_dtype(p), 64, _CHUNK * (p - 1) ** 2
+    xt = np.full((n2, _CHUNK), p - 1, dtype=dtype)
+    y = np.full((_CHUNK, n2), p - 1, dtype=dtype)
+    got = xt @ y
+    assert got.dtype == dtype and (got.astype(np.int64) == top).all()
+    assert (_reduce_mod(got, p).astype(np.int64) == top % p).all()
+    # every integer up to that bound, p more for the sum into A, is exact
+    # in the width, so any order of summation is exact
+    near = np.arange(top - p, top + p)
+    assert (near.astype(dtype).astype(np.int64) == near).all()
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (2, 0, 0), (3, 0, 4), (2, 3, 0, 0)])

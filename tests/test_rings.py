@@ -390,6 +390,67 @@ def test_solve_matches_reference_solver(sys):
     assert all(_same_array(v, w) for v, w in zip(basis, old_basis))
 
 
+@st.composite
+def systems_with_zero_columns(draw):
+    """Seeded systems of low rank with a random subset of their columns
+    zeroed, consistent or with one row's right-hand side moved."""
+    p = draw(st.sampled_from([2, 3, 7, 32749]))
+    rows, cols = draw(st.integers(0, 24)), draw(st.integers(0, 140))
+    rank = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+    a[:, rng.random(cols) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))] = 0
+    b = (a @ rng.integers(0, p, cols)) % p
+    if rows and draw(st.booleans()):
+        b[rng.integers(rows)] += 1
+    return AffineSystem(p, a, b % p)
+
+
+def _with_zero_columns(p, rows, cols, zero, seed, consistent):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (rows, cols))
+    a[:, zero] = 0
+    b = (a @ rng.integers(0, p, cols)) % p
+    b[-1] = (b[-1] + (not consistent)) % p
+    return AffineSystem(p, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sys=systems_with_zero_columns())
+@example(sys=AffineSystem(7, np.zeros((5, 4), dtype=np.int64), [0] * 5))            # A = 0, b = 0
+@example(sys=AffineSystem(3, np.zeros((5, 4), dtype=np.int64), [0, 0, 2, 1, 0]))    # A = 0, b != 0
+@example(sys=AffineSystem(2, np.zeros((3, 70), dtype=np.int64), [0, 1, 1]))
+# p = 2: zero columns on both sides of the boundaries of words 0, 1 and 2
+@example(sys=_with_zero_columns(2, 90, 140, [*range(60, 68), *range(124, 132)], 1, True))
+@example(sys=_with_zero_columns(2, 90, 140, [*range(60, 68), *range(124, 132)], 2, False))
+@example(sys=_with_zero_columns(2, 40, 130, [62, 63, 64, 65, 127, 128, 129], 3, False))
+def test_solve_skips_zero_columns(sys):
+    # the kernels visit only columns with a nonzero entry; the outputs are
+    # those of the eager reference, and a refutation is the one read off the
+    # system with the zero columns deleted
+    res = solve_affine(sys)
+    particular, _ = reference_solve_affine(sys)
+    live = np.flatnonzero(sys.matrix.any(axis=0))
+    deleted = solve_affine(AffineSystem(sys.p, sys.matrix[:, live], sys.rhs))
+    if particular is None:
+        assert isinstance(res, Inconsistent) and isinstance(deleted, Inconsistent)
+        assert dense_refutes(sys, res.functional) and int(res.functional @ sys.rhs) % sys.p == 1
+        assert _same_array(res.functional, deleted.functional)
+    else:
+        assert isinstance(res, Consistent) and isinstance(deleted, Consistent)
+        assert _same_array(res.particular, particular)
+        assert _same_array(res.particular[live], deleted.particular)
+        assert not res.particular[np.setdiff1d(np.arange(sys.cols), live)].any()
+    reduced, pivots = rref(sys.matrix, sys.p)
+    ref_reduced, ref_pivots = reference_rref(sys.matrix, sys.p)
+    assert pivots == ref_pivots and _same_array(reduced, ref_reduced)
+    assert all(type(j) is int for j in pivots)
+    _, ref_basis = reference_solve_affine(AffineSystem(sys.p, sys.matrix, np.zeros(sys.rows, dtype=np.int64)))
+    basis = nullspace(sys.matrix, sys.p)
+    assert len(basis) == len(ref_basis)
+    assert all(_same_array(v, w) for v, w in zip(basis, ref_basis))
+
+
 def test_refuted_solve_memory(rng):
     # refuted induced witnesses: D16 (Klein, p = 2) on packed bits, and
     # C63 (C7, p = 7) on int32 rows, half of rows * cols * 8.  C63's system
