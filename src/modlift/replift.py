@@ -59,6 +59,7 @@ from .rings import (
     NotInKernel,
     PrimeCtx,
     Singular,
+    lift_inverse,
     matmul_mod,
     merge_kernel_element,
     power,
@@ -412,7 +413,8 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
         a, b = m.a, m_inv.a
         steps[g, 1], lift_steps[g, 1] = np.array((a, b.T), dtype=fdt), naive_lifts[g].a
         if g in inverted:
-            steps[g, -1], lift_steps[g, -1] = np.array((b, a.T), dtype=fdt), naive_lifts[g].inv().a
+            steps[g, -1] = np.array((b, a.T), dtype=fdt)
+            lift_steps[g, -1] = lift_inverse(naive_lifts[g].a, b, p2)
     matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.min_scalar_type(p - 1))
     rhs = np.zeros((len(relators), n, n), dtype=np.int64)
     defects = []

@@ -125,7 +125,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
 
 
 class Mat:
-    """Immutable dense square matrix over Z/mod.
+    """Immutable dense square matrix over Z/mod; inverses over F_p, Z/p^2 only.
 
     Entries are kept reduced to [0, mod).  All arithmetic is exact: products
     use 64-bit integers while that cannot overflow and fall back to Python
@@ -195,30 +195,22 @@ class Mat:
         return power(base, abs(k), Mat.identity(self.mod, self.n), operator.matmul)
 
     def inv(self) -> "Mat":
-        """Inverse by Gauss-Jordan elimination with unit pivots.
-
-        Pivot choice is deterministic: the first row (in order) whose entry
-        in the current column is a unit.  Over Z/p^2 a unit pivot exists in
-        every column exactly when the mod-p reduction is invertible.
-        """
-        n, m = self.n, self.mod
-        work = np.concatenate([self.a.copy(), np.eye(n, dtype=np.int64)], axis=1)
-        for j in range(n):
-            piv = -1
-            for i in range(j, n):
-                if math.gcd(int(work[i, j]), m) == 1:
-                    piv = i
-                    break
-            if piv < 0:
-                raise Singular(f"matrix is singular over Z/{m}")
-            if piv != j:
-                work[[j, piv]] = work[[piv, j]]
-            inv_p = pow(int(work[j, j]), -1, m)
-            work[j] = (work[j] * inv_p) % m
-            for i in range(n):
-                if i != j and work[i, j]:
-                    work[i] = (work[i] - work[i, j] * work[j]) % m
-        return Mat(m, work[:, n:])
+        """The inverse over F_p, the right half of rref([M | I], p), or over
+        Z/p^2, lift_inverse's Newton step from it, for a prime p <= PRIME_CAP;
+        a ValueError over any other ring, Singular when M mod p is singular.
+        One product checks M B = I, so that the certificate check, which
+        inverts, does not rest on the solver's own elimination."""
+        mod, n = self.mod, self.n
+        p = mod if math.isqrt(mod) ** 2 != mod else math.isqrt(mod)
+        if not (p <= PRIME_CAP and is_prime(p)):
+            raise ValueError(f"inverses exist over F_p and Z/p^2, p prime <= {PRIME_CAP}; not over Z/{mod}")
+        reduced, pivots = rref(np.concatenate([self.a, np.eye(n, dtype=np.int64)], axis=1), p)
+        if pivots != list(range(n)):
+            raise Singular(f"matrix is singular over Z/{mod}")
+        b = reduced[:, n:] if p == mod else lift_inverse(self.a, reduced[:, n:], mod)
+        if not np.array_equal(matmul_mod(self.a, b, mod), np.eye(n, dtype=np.int64)):
+            raise AssertionError(f"internal error: inverse over Z/{mod} fails M B = I")
+        return Mat(mod, b)
 
     def reduce(self, newmod: int) -> "Mat":
         if self.mod % newmod:
@@ -250,6 +242,12 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat(mod={self.mod}, {[list(r) for r in self.a.tolist()]})"
+
+
+def lift_inverse(m: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+    """m^-1 over Z/mod = Z/p^2 from b, an inverse mod p, entries in [0, mod),
+    by one Newton step: m b = 1 + pE, so m b (2 - m b) = 1 - p^2 E^2 = 1."""
+    return matmul_mod(b, (2 * np.eye(len(m), dtype=np.int64) - matmul_mod(m, b, mod)) % mod, mod)
 
 
 def split_kernel_element(m: Mat, p: int) -> Mat:
@@ -368,13 +366,13 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
     pivots, scales = [], []
     perm = np.arange(rows)
     r = 0
-    for j in np.flatnonzero(work[:, :pivot_cols].any(axis=0)).tolist():
+    for j in work[:, :pivot_cols].any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
-        nz = np.flatnonzero(work[r:, j])
+        nz = work[r:, j].nonzero()[0]
         if nz.size == 0:
             continue
-        vals = work[r + nz, j] % p
+        vals = work[r:, j][nz] % p
         if not vals.all():
             # multiples of p are zeros that were left unreduced
             keep = np.flatnonzero(vals)
@@ -386,8 +384,8 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
             nz, vals = nz[keep], vals[keep]
         i = r + int(nz[0])
         if i != r:
-            work[[r, i]] = work[[i, r]]
-            perm[[r, i]] = perm[[i, r]]
+            work[r], work[i] = work[i].copy(), work[r].copy()
+            perm[r], perm[i] = perm[i], perm[r]
         row = work[r]
         np.remainder(row, p, out=row)
         piv = int(vals[0])
@@ -403,21 +401,20 @@ def _forward_eliminate(work: np.ndarray, p: int, pivot_cols: int) -> tuple:
     return pivots, perm, scales
 
 
-def _back_eliminate(work: np.ndarray, p: int, pivots: list):
-    for r in range(len(pivots) - 1, -1, -1):
-        j = pivots[r]
-        above = np.flatnonzero(work[:r, j])
-        if above.size:
-            work[above, j:] = (work[above, j:] - np.outer(work[above, j], work[r, j:])) % p
-
-
 def rref(matrix: np.ndarray, p: int) -> tuple:
-    """Reduced row echelon form over F_p; returns (rref, pivot columns)."""
+    """Reduced row echelon form over F_p; returns (rref, pivot columns).
+
+    _forward_eliminate, then from the last pivot up: clear the row's
+    multipliers, left of its pivot, and its pivot column in the rows above.
+    """
     work = np.array(matrix, dtype=np.int64) % p
     pivots, _, _ = _forward_eliminate(work, p, work.shape[1])
-    for r, j in enumerate(pivots):
-        work[r, :j] = 0  # the multipliers
-    _back_eliminate(work, p, pivots)
+    for r in range(len(pivots) - 1, -1, -1):
+        j = pivots[r]
+        work[r, :j] = 0
+        above = work[:r, j].nonzero()[0]
+        if above.size:
+            work[above, j:] = (work[above, j:] - np.multiply.outer(work[above, j], work[r, j:])) % p
     return work[: len(pivots)], pivots
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import over_budget_rep, random_invertible, random_valid_instance, refutes
+from test_rings import reference_inverse
 from modlift import replift
 from modlift.classify import _bad_group_and_witness, induced_witness
 from modlift.formats import family_from_tokens
@@ -154,7 +155,7 @@ def kron_linearize(rep, naive_lifts):
     """Reference assembly: one Kronecker block per letter, added mod p."""
     p, n, k = rep.ctx.p, rep.n, rep.num_gens
     n2 = n * n
-    gen_inv = [m.inv() for m in rep.gen_mats]
+    gen_inv = [Mat(p, reference_inverse(m.a, p)) for m in rep.gen_mats]
     blocks, rhs, defects = [], [], []
     for word in rep.presentation.relators:
         block = np.zeros((n2, k * n2), dtype=np.int64)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import time_limit
 from modlift.classify import induced_witness
 from modlift.groups import cyclic_group, dihedral, find_subgroup_witness
+from modlift import rings
 from modlift.replift import linearize
 from modlift.rings import (
     AffineSystem,
@@ -76,6 +78,31 @@ def test_mat_inv_examples():
     assert x.inv().rows() == ((1, 1), (1, 0))
     with pytest.raises(Singular):
         Mat(4, [[2, 0], [0, 2]]).inv()
+    # inverses exist over F_p and Z/p^2 only
+    for mod in (6, 8, 16, 27):
+        with pytest.raises(ValueError):
+            Mat(mod, [[1, 1], [1, 2]]).inv()
+    for mod in (4, 9):
+        m = Mat(mod, [[1, 1], [1, 2]])
+        assert m.inv() == Mat(mod, [[2, -1], [-1, 1]])
+
+
+@pytest.mark.parametrize("mod", [7, 49])
+def test_mat_inv_checks_its_result(monkeypatch, mod):
+    """A wrong right half of rref([M | I]) is caught by M B = I, over F_p
+    and after the Newton step over Z/p^2, and never returned."""
+    m = Mat(mod, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    exact = rings.rref
+
+    def flipped(matrix, p):
+        reduced, pivots = exact(matrix, p)
+        reduced = reduced.copy()
+        reduced[0, -1] = (reduced[0, -1] + 1) % p
+        return reduced, pivots
+
+    monkeypatch.setattr(rings, "rref", flipped)
+    with pytest.raises(AssertionError, match="internal error"):
+        m.inv()
 
 
 def test_mat_inv_random(rng):
@@ -275,6 +302,56 @@ def reference_solve_affine(sys):
             v[j] = (-work[r, f]) % p
         basis.append(v)
     return x, tuple(basis)
+
+
+def reference_inverse(a, mod):
+    """The inverse Mat.inv computed before it was read off rref: Gauss-Jordan
+    over Z/mod, each pivot the first entry of its column that is a unit.
+    Kept self-contained, so that Mat.inv is compared against code it does
+    not share.  Raises Singular."""
+    n = a.shape[0]
+    work = np.concatenate([np.array(a, dtype=np.int64) % mod, np.eye(n, dtype=np.int64)], axis=1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if math.gcd(int(work[i, j]), mod) == 1), None)
+        if piv is None:
+            raise Singular(f"matrix is singular over Z/{mod}")
+        work[[j, piv]] = work[[piv, j]]
+        work[j] = (work[j] * pow(int(work[j, j]), -1, mod)) % mod
+        for i in range(n):
+            if i != j and work[i, j]:
+                work[i] = (work[i] - work[i, j] * work[j]) % mod
+    return work[:, n:]
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n matrices, n <= 20, over F_p and Z/p^2; about half are singular
+    mod p by construction, and more are by chance at small p."""
+    p = draw(st.sampled_from([2, 3, 7, 181, 191, 32749]))
+    mod = draw(st.sampled_from([p, p * p]))
+    n = draw(st.integers(0, 20))
+    rank = draw(st.sampled_from([n, draw(st.integers(0, n))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(0, p, (n, rank)) @ rng.integers(0, p, (rank, n))) % p if rank < n else rng.integers(0, p, (n, n))
+    return Mat(mod, a + p * rng.integers(0, p, (n, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=square_matrices())
+@example(m=Mat(7, []))                                                              # n = 0
+@example(m=Mat(49, []))
+@example(m=Mat(9, np.eye(3, dtype=np.int64) + 3 * np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1]])))  # I + pX
+@example(m=Mat(49, [[7, 0], [0, 1]]))                                               # singular mod p
+# 8 (p^2 - 1)^2 >= 2^62: the Newton step's matmul_mod takes its object path
+@example(m=Mat(32749**2, np.random.default_rng(3).integers(0, 32749**2, (8, 8))))
+def test_mat_inv_matches_reference(m):
+    try:
+        expected = reference_inverse(m.a, m.mod)
+    except Singular:
+        with pytest.raises(Singular):
+            m.inv()
+        return
+    assert _same_array(m.inv().a, expected)
 
 
 def dense_refutes(sys, c):
