@@ -56,6 +56,7 @@ def cmd_check(args) -> int:
         t0 = time.perf_counter()
         try:
             rep = parse_representation(Path(path).read_text())
+            verdict = check_lift(rep)
         except (OSError, Error) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             status = 2
@@ -65,12 +66,6 @@ def cmd_check(args) -> int:
             f"p={rep.ctx.p} n={rep.n} generators={rep.num_gens} "
             f"relators={len(rep.presentation.relators)}"
         )
-        try:
-            verdict = check_lift(rep)
-        except Error as e:
-            print(f"error: {path}: {e}", file=sys.stderr)
-            status = 2
-            continue
         if verdict.liftable:
             out.append("VERDICT: LIFTABLE")
             payload["verdict"] = "LIFTABLE"

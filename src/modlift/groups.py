@@ -463,14 +463,15 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
 
     Grows a p-subgroup H by the first element (ascending index) of p-power
     order that normalizes H; such an element exists whenever |H| is short of
-    the full p-part.
+    the full p-part.  A p-group is its own Sylow p-subgroup, returned at
+    once.
     """
     target = 1
     n = g.order
     while n % p == 0:
         n //= p
         target *= p
-    elems = {0}
+    elems = {0} if target < g.order else set(range(g.order))
     while len(elems) < target:
         for x in range(1, g.order):
             if x in elems:

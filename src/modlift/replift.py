@@ -22,26 +22,28 @@ run is a maximal block g^(+-m) of one repeated letter, and its m stacked
 prefixes are v g^t for t < m, which are made by doubling,
 [P_k; P_k g^k], in O(log m) float products of stacked (k n, n) by (n, n)
 matrices.  Their entries are below p <= PRIME_CAP and n <= MAX_DIMENSION,
-so those sums stay below 64 * (p-1)^2.  The letters go in chunks of _CHUNK
-and the stacked sums are reduced mod p after each chunk, so no sum exceeds
-_CHUNK * (p-1)^2 + p either.  Every term is >= 0, so every partial sum, in
-any BLAS order, is an integer below that bound, and the float width follows
-from p as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008):
-float32 while the bound is under 2^24 (p <= 181), float64, exact below
-2^53, for every larger admitted prime.  There is no integer path.  Every
-reduction is _reduce_mod's floor-and-correct, q = floor(x * (1/p)) and
-x - q p, exact below 2^24 or 2^53 and 5-60 times faster here than numpy's
-fmod.  A is written once, at its natural width (uint8 for p < 2^8, uint16
-otherwise): each chunk's product is formed, reduced and added into A one
+so those sums stay below 64 * (p-1)^2.  Each generator's prefix pairs go
+into one buffer of at most _CHUNK letters, and the block product is taken,
+reduced mod p and added into A each time the buffer fills, so no sum
+exceeds _CHUNK * (p-1)^2 + p either.  Every term is >= 0, so every partial
+sum, in any BLAS order, is an integer below that bound, and the float
+width follows from p as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS
+35(3), 2008): float32 while the bound is under 2^24 (p <= 181), float64,
+exact below 2^53, for every larger admitted prime.  There is no integer
+path.  Every reduction is _reduce_mod's floor-and-correct, q = floor(x *
+(1/p)) and x - q p, exact below 2^24 or 2^53 and 5-60 times faster here
+than numpy's fmod.  A is written once, at its natural width (uint8 for p < 2^8, uint16
+otherwise): each buffer's product is formed, reduced and added into A one
 slab of output rows at a time.  The same walk evaluates the relator
 at the lifts over Z/p^2, in O(log m) matmul_mod products per run, which
 gives E_w and rejects a relator that fails mod p, so it is the one relator
-walk of `check_lift`.  Certificates are re-checked with `eval_word`, which
-shares only rings.power and matmul_mod with that walk.
+walk of `check_lift`.  Certificates are re-checked on groups.word_value,
+which shares only rings.power and matmul_mod with that walk.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -208,49 +210,46 @@ def relator_defect(rep: Representation, naive_lifts: Sequence[Mat], word: Word) 
 # linearization and the decision procedure
 
 
-# Letters per stacked product.  Each entry of one product is a sum of at most
-# _CHUNK terms in [0, (p-1)^2], below 2^24 for p <= 181 (float32 is exact)
-# and below 2^53 for every p <= PRIME_CAP = 2^15 (float64 is; _float_dtype).
-# It also caps the stacked prefixes at 2 * _CHUNK * n^2 floats.
+# Letters per block sum.  Each entry of one block product is a sum of at
+# most _CHUNK terms in [0, (p-1)^2], below 2^24 for p <= 181 (float32 is
+# exact) and below 2^53 for every p <= PRIME_CAP = 2^15 (float64 is;
+# _float_dtype).  A relator's k generators get buffers of _CHUNK // k
+# prefix pairs each (at least one), so together they hold at most
+# 2 * max(_CHUNK, k) * n^2 floats.
 _CHUNK = 512
-# Floats per slab: a reduction's temporaries, and a block product's output
-# (at least one row block of n^3), stay this small whatever the size of A.
+# Floats per slab of a block product's output (at least one row block of
+# n^3), so that it and its reduction stay this small whatever the size of A.
 _SLAB = 1 << 16
 
 
 def _float_dtype(p: int):
     """The float width linearize computes in over F_p: float32 where every
-    chunk sum, below _CHUNK * (p-1)^2 + p, fits its 24-bit mantissa (p <=
+    block sum, below _CHUNK * (p-1)^2 + p, fits its 24-bit mantissa (p <=
     181), float64 otherwise."""
     return np.float32 if _CHUNK * (p - 1) ** 2 + p < 1 << 24 else np.float64
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce x, integers in [0, 2^m) with x.ndim >= 2, to [0, p) in place;
-    return x.  m is 24 for float32, 53 for float64.
+    """Reduce x, integers in [0, 2^m), to [0, p) in place; return x.  m is
+    24 for float32, 53 for float64.
 
-    One slab of _SLAB floats along the next-to-last axis at a time, so the
-    temporaries stay small: q = floor(x * (1/p)), x -= q * p, and one
-    correction.  1/p and the product each round by a relative 2^-m, so
-    x * (1/p) is within 2/p of x/p and q is off by at most one: one too
-    large only when x = -1 mod p, where q * p = x + 1 <= 2^m is exact and
-    x - q * p = -1, or one too small, which leaves x - q * p in [p, 2p).
-    Adding p to the one and subtracting it from the other is exact.  For
-    p = 2, 1/p and q are exact.  numpy's fmod gives the same values in time
-    that grows with x / p: 5-60 times as long at the sizes linearize
-    reduces.
+    q = floor(x * (1/p)), x -= q * p, and one correction, in one pass whose
+    temporaries are the size of x: linearize reduces at most half a buffer
+    of prefix pairs or one slab of a block product at once.  1/p and the
+    product each round by a relative 2^-m, so x * (1/p) is within 2/p of
+    x/p and q is off by at most one: one too large only when x = -1 mod p,
+    where q * p = x + 1 <= 2^m is exact and x - q * p = -1, or one too
+    small, which leaves x - q * p in [p, 2p).  Adding p to the one and
+    subtracting it from the other is exact.  For p = 2, 1/p and q are
+    exact.  numpy's fmod gives the same values in time that grows with
+    x / p: 5-60 times as long at the sizes linearize reduces.
     """
-    rows = x.shape[-2]
-    step = max(1, _SLAB * rows // max(1, x.size))
-    inv = 1.0 / p
-    for i in range(0, rows, step):
-        s = x[..., i : i + step, :]
-        q = s * inv
-        np.floor(q, out=q)
-        q *= p
-        s -= q
-        np.add(s, p, out=s, where=s < 0)
-        np.subtract(s, p, out=s, where=s >= p)
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
     return x
 
 
@@ -276,27 +275,6 @@ def _stack_powers(out, step, p) -> None:
             step_k = _reduce_mod(step_k @ step_k, p)
 
 
-def _chunked_runs(word) -> list:
-    """The runs of word cut at every _CHUNK-th letter, as one list per chunk.
-
-    A run is a maximal block g^(e*m) of one repeated letter.  Each piece is
-    (g, e, m, c): c letters of the run, and m is the run's length on its
-    first piece and 0 on the pieces that continue it.
-    """
-    chunks, room = [[]], _CHUNK
-    for (g, e), run in groupby(word):
-        m = left = sum(1 for _ in run)
-        while left:
-            if not room:
-                chunks.append([])
-                room = _CHUNK
-            c = min(left, room)
-            chunks[-1].append((g, e, m if left == m else 0, c))
-            left -= c
-            room -= c
-    return chunks
-
-
 def _linearize_relator(out, word, steps, lift_steps, p, p2):
     """Fill one relator's block and return the relator's value at the lifts.
 
@@ -309,11 +287,17 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
     (v, (v^-1)^T) to (X, Y^T) @ steps[g, e], which is (g, g^-T) for g and
     (g^-1, g^T) for g^-1, so _stack_powers makes a run's rows from its
     first pair.  A letter g is recorded before it is taken and a letter
-    g^-1 after, with X negated.  Y is stored transposed, so X^T Y comes out
-    indexed [(a,c),(b,d)] and is transposed into place: one slab of rows a
-    at a time, each chunk's product is formed, reduced, added to what out
-    holds (the sum is below 2p, so one subtraction of p reduces it) and
-    written once.
+    g^-1 after, with X negated.
+
+    Each of the relator's k generators has one buffer of min(count,
+    _CHUNK // k) pairs, which its runs fill in order.  A full buffer is
+    flushed, and a run that goes on starts again at its front from its last
+    pair; at the end every buffer that holds pairs is flushed.  A flush adds
+    X^T Y over the buffer's letters into out.  Y is stored transposed, so
+    X^T Y comes out indexed [(a,c),(b,d)] and is transposed into place: one
+    slab of rows a at a time, it is formed, reduced, added to what out holds
+    (the sum is below 2p, so one subtraction of p reduces it) and written
+    once.
     """
     n = out.shape[0]
     n2 = n * n
@@ -327,48 +311,60 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
     def mul_p(a, b):
         return _reduce_mod(a @ b, p)
 
-    # generators whose block holds an earlier chunk's sum
+    counts = Counter(g for g, _ in word)
+    pairs = {
+        g: np.empty((2, min(c, max(1, _CHUNK // len(counts))), n, n), dtype=fdt)
+        for g, c in counts.items()
+    }
+    filled = dict.fromkeys(counts, 0)
+    # generators whose block holds an earlier flush's sum
     written = set()
     # output row blocks a per slab of one block product
     slab = max(1, _SLAB // max(1, n * n2))
-    for chunk in _chunked_runs(word):
-        counts = Counter()
-        for g, _, _, c in chunk:
-            counts[g] += c
-        pairs = {g: np.empty((2, c, n, n), dtype=fdt) for g, c in counts.items()}
-        filled = dict.fromkeys(counts, 0)
-        for g, e, m, c in chunk:
-            step = steps[g, e]
-            i = filled[g]
-            filled[g] = i + c
-            rows = pairs[g][:, i : i + c]
-            if not m:
-                # the run goes on from the last pair of its previous piece
-                rows[:, 0] = mul_p(last, step)
-            else:
-                rows[0, 0], rows[1, 0] = (w if e == 1 else -w) % p, vinv_t
-                if e == -1:
-                    rows[:, 0] = mul_p(rows[:, 0], step)
-                w = mul_p2(w, power(lift_steps[g, e], m, eye, mul_p2))
+
+    def flush(g):
+        c = filled[g]
+        # X^T in C order: on the transposed view the same GEMM makes
+        # multithreaded OpenBLAS keep more buffer memory resident
+        xt = np.ascontiguousarray(pairs[g][0, :c].reshape(c, n2).T)
+        y = pairs[g][1, :c].reshape(c, n2)
+        for a in range(0, n, slab):
+            prod = _reduce_mod(xt[a * n : (a + slab) * n] @ y, p)
+            # rows (a, c) and columns (b, d) go to block[a, b, c, d]
+            prod = prod.reshape(-1, n, n, n).transpose(0, 2, 1, 3)
+            target = out[a : a + slab, :, g]
+            if g in written:
+                prod += target
+                np.subtract(prod, p, out=prod, where=prod >= p)
+            # integers in [0, p): the cast to A's dtype is exact
+            target[...] = prod
+        written.add(g)
+        filled[g] = 0
+
+    for (g, e), run in groupby(word):
+        m = sum(1 for _ in run)
+        step, buf, i = steps[g, e], pairs[g], filled[g]
+        buf[0, i], buf[1, i] = (w if e == 1 else -w) % p, vinv_t
+        if e == -1:
+            buf[:, i] = mul_p(buf[:, i], step)
+        w = mul_p2(w, power(lift_steps[g, e], m, eye, mul_p2))
+        while True:
+            c = min(m, buf.shape[1] - i)
+            rows = buf[:, i : i + c]
             _stack_powers(rows, step, p)
-            last = rows[:, -1]
-            vinv_t = mul_p(last[1], step[1]) if e == 1 else last[1]
-        for g, c in counts.items():
-            # X^T in C order: on the transposed view the same GEMM makes
-            # multithreaded OpenBLAS keep more buffer memory resident
-            xt = np.ascontiguousarray(pairs[g][0].reshape(c, n2).T)
-            y = pairs[g][1].reshape(c, n2)
-            for a in range(0, n, slab):
-                prod = _reduce_mod(xt[a * n : (a + slab) * n] @ y, p)
-                # rows (a, c) and columns (b, d) go to block[a, b, c, d]
-                prod = prod.reshape(-1, n, n, n).transpose(0, 2, 1, 3)
-                target = out[a : a + slab, :, g]
-                if g in written:
-                    prod += target
-                    np.subtract(prod, p, out=prod, where=prod >= p)
-                # integers in [0, p): the cast to A's dtype is exact
-                target[...] = prod
-            written.add(g)
+            last, m, filled[g] = rows[:, -1], m - c, i + c
+            if filled[g] == buf.shape[1]:
+                flush(g)
+            if not m:
+                break
+            # the run goes on from its last pair, at the front of the buffer
+            buf[:, 0], i = mul_p(last, step), 0
+        # last may view g's buffer: nothing writes there before the next
+        # run has read vinv_t
+        vinv_t = mul_p(last[1], step[1]) if e == 1 else last[1]
+    for g in pairs:
+        if filled[g]:
+            flush(g)
     return w
 
 
@@ -383,10 +379,11 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     module docstring).  All float work is in _float_dtype(p), float32 for p
     <= 181 and float64 above.  A run's rows are made by doubling, each step
     one product whose sums stay below 64 * (p-1)^2.  The block product is
-    taken over chunks of _CHUNK letters, so its nonnegative sums stay below
-    _CHUNK * (p-1)^2 + p, under 2^24 in float32 and 2^53 in float64: exact
-    in any summation order, with no integer fallback.  Each chunk's product
-    is formed and reduced one slab of rows at a time and added into A,
+    taken over one buffer per generator of at most _CHUNK letters, so its
+    nonnegative sums stay below _CHUNK * (p-1)^2 + p, under 2^24 in float32
+    and 2^53 in float64: exact in any summation order, with no integer
+    fallback.  Each buffer's product is formed and reduced one slab of rows
+    at a time and added into A,
     whose dtype is np.min_scalar_type(p - 1); the system keeps that narrow,
     read-only A without a copy, and b as int64.  The same walk gives each
     relator's defect E_w, in O(log m) matmul_mod products per run over
@@ -452,8 +449,11 @@ def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
     for m, lifted in zip(rep.gen_mats, cert.mats):
         if lifted.mod != p2 or lifted.n != rep.n or lifted.reduce(p) != m:
             return False
+    one = Mat.identity(p2, rep.n)
+    # word_value keeps its inverses for one word; these serve every relator
+    inv = functools.cache(Mat.inv)
     for word in rep.presentation.relators:
-        if not eval_word(cert.mats, word, p2, rep.n).is_identity():
+        if not word_value(word, cert.mats, one, operator.matmul, inv).is_identity():
             return False
     return True
 
@@ -593,25 +593,19 @@ def brute_force_lift(rep: Representation, budget: int = DEFAULT_BRUTE_BUDGET) ->
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget}")
     lifts = canonical_lifts(rep)
-    ghat = np.stack([m.a for m in lifts]) if k else np.zeros((0, n, n), dtype=np.int64)
-    ghat_inv = (
-        np.stack([m.inv().a for m in lifts]) if k else np.zeros((0, n, n), dtype=np.int64)
-    )
+    ghat = np.array([m.a for m in lifts], dtype=np.int64).reshape(k, n, n)
+    ghat_inv = np.array([m.inv().a for m in lifts], dtype=np.int64).reshape(k, n, n)
     ident = np.eye(n, dtype=np.int64)
     relators = rep.presentation.relators
 
     chunk = 4096
-    powers = p ** np.arange(digits, dtype=np.int64) if digits else np.zeros(0, dtype=np.int64)
+    powers = p ** np.arange(digits, dtype=np.int64)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         idx = np.arange(start, stop, dtype=np.int64)
-        if digits:
-            a = (idx[:, None] // powers[None, :]) % p
-        else:
-            a = np.zeros((stop - start, 0), dtype=np.int64)
-        a = a.reshape(stop - start, k, n, n)
-        cand = (ident + p * a) @ ghat % p2 if k else np.zeros((stop - start, 0, n, n), dtype=np.int64)
-        cand_inv = ghat_inv @ (ident - p * a) % p2 if k else cand
+        a = ((idx[:, None] // powers) % p).reshape(stop - start, k, n, n)
+        cand = (ident + p * a) @ ghat % p2
+        cand_inv = ghat_inv @ (ident - p * a) % p2
         ok = np.ones(stop - start, dtype=bool)
         for word in relators:
             cur = np.broadcast_to(ident, (stop - start, n, n)).copy()

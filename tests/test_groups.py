@@ -339,6 +339,21 @@ def test_sylow_order_is_p_part():
             assert sylow(g, p).order == p_part
 
 
+def test_sylow_of_p_group_is_whole(monkeypatch):
+    # |D2048| = 2^11: the whole group, with no normalizer scan
+    _, g = dihedral(2048)
+    calls = []
+    conjugate = type(g).conjugate
+
+    def counted(self, x, a):
+        calls.append((x, a))
+        return conjugate(self, x, a)
+
+    monkeypatch.setattr(type(g), "conjugate", counted)
+    assert sylow(g, 2).elements == tuple(range(g.order))
+    assert calls == []
+
+
 def test_transversal_examples():
     _, c4 = cyclic_group(4)
     whole = Subgroup(c4, tuple(range(4)))

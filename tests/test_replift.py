@@ -191,7 +191,7 @@ def random_relator_rep(rng, p, n, k, length, runs=False):
     lengthened by a power prime to p instead, so its block stays nonzero.
     With runs, u is g0^(+-a) g1^(+-b) ... with each run up to `length`
     letters long, so the relator is (g0^a g1^-b z)^d and its runs of both
-    signs cross the chunk boundaries.
+    signs cross the buffer boundaries.
     """
     ctx = PrimeCtx(p)
     conj = random_invertible(rng, p, n)
@@ -239,12 +239,15 @@ def random_relator_rep(rng, p, n, k, length, runs=False):
     seed=st.integers(0, 2**32 - 1),
     runs=st.booleans(),
 )
-# Z/p^2 products past int64 (Python integers) over two chunks
+# Z/p^2 products past int64 (Python integers) over two buffers
 @example(p=32749, n=5, k=2, length=_CHUNK + 7, randomize=True, seed=1, runs=False)
-# (g0^a g1^-b z)^d with runs of both signs across chunk boundaries
+# (g0^a g1^-b z)^d with runs of both signs across buffer boundaries
 @example(p=3, n=4, k=3, length=_CHUNK + 40, randomize=True, seed=3, runs=True)
-# float32 at its last prime, with a run of 641 letters across a chunk boundary
+# float32 at its last prime, with a run of 641 letters across buffer boundaries
 @example(p=181, n=4, k=2, length=2 * _CHUNK + 5, randomize=True, seed=7, runs=True)
+# (g0^300 g1)^2: with two generators a buffer holds _CHUNK // 2 = 256
+# pairs, so each g0 run fills it and goes on from its last pair
+@example(p=3, n=4, k=2, length=300, randomize=True, seed=0, runs=True)
 def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed, runs):
     rng = np.random.default_rng(seed)
     rep = random_relator_rep(rng, p, n, k, length, runs)
@@ -304,7 +307,7 @@ def test_reduce_mod_matches_integer_remainder(p, dtype, monkeypatch):
         np.arange(3 * p),
     ])
     for slab in (1 << 16, 64):
-        # one slab, then many slabs of rows
+        # _SLAB bounds only the block product: _reduce_mod takes x whole
         monkeypatch.setattr(replift, "_SLAB", slab)
         got = x.astype(dtype).reshape(-1, 1)
         assert (got.astype(np.int64).ravel() == x).all()
@@ -314,7 +317,7 @@ def test_reduce_mod_matches_integer_remainder(p, dtype, monkeypatch):
 
 @pytest.mark.parametrize("p", [181, 191])
 def test_chunk_product_exact_at_float_width(p):
-    # the largest sums linearize forms: one chunk's (n^2, _CHUNK) @
+    # the largest sums linearize forms: one full buffer's (n^2, _CHUNK) @
     # (_CHUNK, n^2) block product with every operand p - 1, in the float
     # width it picks for p, against the int64 product.  The sums reach
     # _CHUNK (p-1)^2: 16,588,800 at p = 181, below 2^24 = 16,777,216, and
@@ -338,8 +341,8 @@ def test_reduce_mod_empty(shape):
 
 
 def test_reduce_mod_in_place_on_views():
-    # the strided views _stack_powers reduces: a run's rows inside the
-    # stacked pairs of a chunk, seen as (2, k n, n); and a transposed view
+    # the strided views _stack_powers reduces: a run's rows inside a
+    # generator's buffer of pairs, seen as (2, k n, n); and a transposed view
     p, n = 7, 5
     rng = np.random.default_rng(0)
     base = rng.integers(0, 1 << 40, (2, 6, n, n)).astype(np.float64)
@@ -434,6 +437,21 @@ def test_verify_certificate_examples():
     perturbed = cert.mats[0].a.copy()
     perturbed[0, 0] = (perturbed[0, 0] + 2) % 4  # one entry shifted by p
     assert not verify_certificate(jrep, LiftCertificate((Mat(4, perturbed),)))
+
+
+def test_verify_certificate_inverts_once_per_certificate(q8_rep, monkeypatch):
+    # t is inverted in two of Q8's relators, s^2 t^-2 and t s t^-1 s
+    cert = check_lift(q8_rep).certificate
+    calls = []
+    inv = Mat.inv
+
+    def counted(m):
+        calls.append(m)
+        return inv(m)
+
+    monkeypatch.setattr(Mat, "inv", counted)
+    assert verify_certificate(q8_rep, cert)
+    assert calls == [cert.mats[1]]
 
 
 def test_check_lift_walks_relators_once(monkeypatch, witness_suite):
@@ -625,6 +643,15 @@ def test_brute_force_trivial():
     assert brute_force_lift(rep).liftable
 
 
+def test_brute_force_zero_generators():
+    # the trivial subgroup: no generators, no relators, no unknowns
+    rep = restrict(c2_unipotent(), Presentation((), ()), [])
+    assert rep.num_gens == 0
+    v = brute_force_lift(rep)
+    assert v.liftable == check_lift(rep).liftable
+    assert v.certificate.mats == ()
+
+
 def test_brute_force_budget_guard():
     pres, _ = elementary_abelian(3, 2)
     rep = Representation(
@@ -680,6 +707,22 @@ def test_linearize_peak_memory():
             tracemalloc.stop()
         assert system.matrix.dtype == np.uint8
         assert peak <= 0.5 * system.rows * system.cols * 8
+
+
+def test_linearize_long_relator_peak_memory():
+    # <s | s^65536> in dimension 20: one buffer of _CHUNK prefix pairs, in
+    # float32, is reused for the whole run.  The peak is that buffer, its
+    # X^T copy and one slab of the block product: 3.3 MiB, 2.1 buffers
+    n = 20
+    rep = jordan_companion_rep(CTX2, 16, n)
+    buffer = 2 * _CHUNK * n * n * np.dtype(_float_dtype(2)).itemsize
+    tracemalloc.start()
+    try:
+        linearize(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * buffer
 
 
 def test_linearize_dimension_guard():
