@@ -151,8 +151,14 @@ def canonical_witness(kind: str, prime: int = 0) -> Representation:
 
 
 def induced_witness(g: FiniteGroup, bad: BadSubgroup) -> Representation:
-    """The canonical witness of the bad subgroup, induced up to G."""
+    """The canonical witness of the bad subgroup, induced up to G.
+
+    When G is the bad subgroup on its own generators and presentation, the
+    induced witness is the canonical one, which is returned as it is.
+    """
     abstract, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
+    if g.presentation == abstract.presentation and bad.gens == tuple(g.gen_indices):
+        return rep_h
     hom = extend_hom(abstract, bad.gens, 0, g.mul)
     if hom is None:
         raise CertificationFailed("bad-subgroup generators do not satisfy the relations")

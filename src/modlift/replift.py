@@ -91,8 +91,9 @@ DEFAULT_BRUTE_BUDGET = 1 << 20
 # dense elimination stays fast only at desk scale
 MAX_DIMENSION = 64
 # on rows * cols * 8, the size W of the odd-p solve's work copy of the lift
-# system at its widest, int64 (it is int32, W / 2, where the entries'
-# bound allows; see rings); linearize's A itself is 1 or 2 bytes an entry.
+# system at its widest, int64 (it is int32, W / 2, or int16, W / 4, where
+# the entries' bound allows; see rings); linearize's A itself is 1 or 2
+# bytes an entry.
 # A dense odd-p check can peak near 3 W on top of A: the work copy and, at
 # the first pivots, the row update's two temporaries (the gathered rows and
 # the outer product).  With an int64 work copy, tracemalloc inside

@@ -17,11 +17,14 @@ when it is chosen, the right-hand sides left below the rank, and the rows
 in which a column scan finds nothing but multiples of p.  A row update
 subtracts products of two values in [0, p) unreduced, so an entry stays
 below p + rank * (p-1)^2 in absolute value, under 2^63 for p <= PRIME_CAP
-at any rank that fits in memory.  The work copy is int32 where that bound,
-with rank taken as min(rows, cols) + 1, is below 2^31 (min(rows, cols) up
-to 34,358 at p = 251, and to 6 * 10^7 at p = 7), and int64 otherwise:
-half the bytes, the same values.  Everything here is immutable after
-construction and safe to share between threads.
+at any rank that fits in memory.  With rank taken as min(rows, cols) + 1,
+the work copy is the narrowest of int16, int32 and int64 under which that
+bound stays: int16 below 2^15 (min(rows, cols) up to 8,190 at p = 3, 2,046
+at p = 5 and 909 at p = 7), int32 below 2^31 (up to 34,358 at p = 251, and
+to 6 * 10^7 at p = 7), int64 otherwise.  A narrower copy holds the same
+values in fewer bytes, and each row update moves fewer of them.  Over F_2,
+back-substitution reads each pivot row as one Python integer.  Everything
+here is immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -483,8 +486,9 @@ def _solve_packed(words: np.ndarray, cols: int, live: list) -> SolveResult:
     The pivot row is XORed into the rows below from its pivot's word on,
     with its bits up to the pivot masked off: a target keeps bit j, its
     multiplier, and takes none of the pivot row's.  Back-substitution
-    carries the right-hand side as bit `cols` of x, so each pivot unknown
-    is the parity of (row AND x).
+    reads each pivot row as one Python integer and carries the right-hand
+    side as bit `cols` of x, so each pivot unknown is the parity of (row
+    AND x).
     """
     rows = words.shape[0]
     pivots = []
@@ -494,13 +498,13 @@ def _solve_packed(words: np.ndarray, cols: int, live: list) -> SolveResult:
         if r == rows:
             break
         w = j >> 6
-        nz = np.flatnonzero(words[r:, w] & _BIT[j & 63])
+        nz = (words[r:, w] & _BIT[j & 63]).nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
             i = r + int(nz[0])
-            words[[r, i]] = words[[i, r]]
-            perm[[r, i]] = perm[[i, r]]
+            words[r], words[i] = words[i], words[r].copy()
+            perm[r], perm[i] = perm[i], perm[r]
         if nz.size > 1:
             row = words[r, w:].copy()
             row[0] &= _ABOVE[j & 63]
@@ -510,14 +514,12 @@ def _solve_packed(words: np.ndarray, cols: int, live: list) -> SolveResult:
     bad = np.flatnonzero(words[r:, cols >> 6] & _BIT[cols & 63])
     if bad.size:
         return Inconsistent(functional=_refutation(words, 2, pivots, perm, [], r + int(bad[0])))
-    x = np.zeros(words.shape[1], dtype="<u8")
-    x[cols >> 6] = _BIT[cols & 63]
-    for r in range(len(pivots) - 1, -1, -1):
-        j = pivots[r]
-        w = j >> 6
-        if int(np.bitwise_xor.reduce(words[r, w:] & x[w:])).bit_count() & 1:
-            x[w] |= _BIT[j & 63]
-    x = np.unpackbits(x.view(np.uint8), count=cols, bitorder="little").astype(np.int64)
+    x = 1 << cols
+    for j, row in zip(reversed(pivots), reversed(words[:r])):
+        if (int.from_bytes(row.tobytes(), "little") & x).bit_count() & 1:
+            x |= 1 << j
+    x = np.frombuffer(x.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint8)
+    x = np.unpackbits(x, count=cols, bitorder="little").astype(np.int64)
     x.flags.writeable = False
     return Consistent(particular=x)
 
@@ -532,7 +534,7 @@ def solve_affine(sys: AffineSystem) -> SolveResult:
 
     For p = 2 the elimination runs on bits packed straight from A, so no
     integer copy of A is made; for odd p, A is widened into one work copy,
-    int32 where its entries' bound fits and int64 otherwise.  The
+    int16, int32 or int64, the narrowest that its entries' bound fits.  The
     certificate is not checked here; `check_lift` checks it once.
     """
     p, cols = sys.p, sys.cols
@@ -542,7 +544,7 @@ def solve_affine(sys: AffineSystem) -> SolveResult:
     # entries stay below p + (rank + 1) (p-1)^2, the refutation's first
     # subtraction included (see the module docstring)
     bound = p + (min(sys.rows, cols) + 1) * (p - 1) ** 2
-    dtype = np.int32 if bound < 1 << 31 else np.int64
+    dtype = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
     work = np.concatenate([sys.matrix, sys.rhs[:, None]], axis=1, dtype=dtype)
     pivots, perm, scales = _forward_eliminate(work, p, cols)
     rank = len(pivots)

@@ -6,6 +6,7 @@ import pytest
 from conftest import refutes
 from modlift.classify import (
     CertificationFailed,
+    _bad_group_and_witness,
     c3c3_witness_rep,
     canonical_witness,
     catalog,
@@ -17,10 +18,12 @@ from modlift.classify import (
 )
 from modlift.formats import format_representation
 from modlift.groups import (
+    Subgroup,
     cyclic_group,
     dihedral,
     direct_product_cyclic,
     elementary_abelian,
+    extend_hom,
     find_subgroup_witness,
     generalized_quaternion,
     is_listed_family,
@@ -28,7 +31,7 @@ from modlift.groups import (
     sylow,
 )
 from modlift.obstruction import GroupAlgebraElement, module_of_quotient, one_minus_generator, theta
-from modlift.replift import MAX_DIMENSION, Representation, check_lift, validate_rep
+from modlift.replift import MAX_DIMENSION, Representation, check_lift, induce, validate_rep
 from modlift.rings import Mat, PrimeCtx
 
 
@@ -126,6 +129,34 @@ def test_witness_for_group_single_coset():
     w = witness_for_group(g, bad)
     assert w.n == 4
     assert not check_lift(w).liftable
+
+
+@pytest.mark.parametrize(
+    "family, canonical",
+    [
+        pytest.param(cyclic_group(5), True, id="C5"),
+        pytest.param(cyclic_group(9), True, id="C9"),
+        pytest.param(cyclic_group(67), True, id="C67"),
+        pytest.param(cyclic_group(257), True, id="C257"),
+        pytest.param(generalized_quaternion(8), True, id="Q8"),
+        # the bad subgroup's generators are G's in the other order
+        pytest.param(direct_product_cyclic(2, 2), False, id="C2xC2"),
+        pytest.param(direct_product_cyclic(3, 3), False, id="C3xC3"),
+    ],
+)
+def test_witness_of_a_bad_group(family, canonical):
+    # a group that is its own bad subgroup, on the same generators and
+    # presentation, gets the canonical witness itself; the induction it
+    # skips gives an equal representation
+    _, g = family
+    bad = find_subgroup_witness(g)
+    abstract, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
+    hom = extend_hom(abstract, bad.gens, 0, g.mul)
+    induced = induce(rep_h, abstract, g, Subgroup(g, tuple(sorted(hom))), hom)
+    verdict = classify(g)
+    assert (verdict.witness is rep_h) == canonical
+    assert (induced == rep_h) == canonical
+    assert verdict.witness == induced and verdict.witness_level == "group"
 
 
 def test_witness_for_group_q16_raises():

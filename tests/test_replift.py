@@ -290,7 +290,7 @@ def test_stack_powers_matches_letter_products(rows, p, dtype):
     [pytest.param(p, np.float64, id=str(p)) for p in (2, 3, 5, 251, 257, 32749)]
     + [pytest.param(p, np.float32, id=f"{p}-float32") for p in (2, 3, 5, 7, 179, 181)],
 )
-def test_reduce_mod_matches_integer_remainder(p, dtype, monkeypatch):
+def test_reduce_mod_matches_integer_remainder(p, dtype):
     # random x below 2^m (m = 53 for float64, 24 for float32), the multiples
     # of p nearest 2^m and their neighbours, and the small values.  At p = 5
     # in float64, and at p = 3, 7 and 181 in float32, x * (1/p) rounds up to
@@ -306,13 +306,27 @@ def test_reduce_mod_matches_integer_remainder(p, dtype, monkeypatch):
         np.array([e for e in edges if e < 1 << bits] + [(1 << bits) - 1, (1 << bits) - 2]),
         np.arange(3 * p),
     ])
-    for slab in (1 << 16, 64):
-        # _SLAB bounds only the block product: _reduce_mod takes x whole
-        monkeypatch.setattr(replift, "_SLAB", slab)
-        got = x.astype(dtype).reshape(-1, 1)
-        assert (got.astype(np.int64).ravel() == x).all()
-        assert _reduce_mod(got, p) is got
-        assert got.astype(np.int64).ravel().tobytes() == (x % p).tobytes()
+    got = x.astype(dtype).reshape(-1, 1)
+    assert (got.astype(np.int64).ravel() == x).all()
+    assert _reduce_mod(got, p) is got
+    assert got.astype(np.int64).ravel().tobytes() == (x % p).tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 181, 32749])
+@pytest.mark.parametrize("n", [3, 5])
+def test_linearize_in_slabs_matches_kron_oracle(p, n, monkeypatch):
+    # _SLAB = 64 floats cuts each block product into slabs of 64 // n^3
+    # row blocks, at least one: two and one at n = 3, five of one at n = 5.
+    # Runs of both signs over two buffers flush each generator's buffer
+    # more than once, so later slabs are added to what earlier flushes wrote
+    monkeypatch.setattr(replift, "_SLAB", 64)
+    rng = np.random.default_rng(n * p)
+    rep = random_relator_rep(rng, p, n, 3, _CHUNK + 40, runs=True)
+    lifts = randomized_lifts(rep, rng)
+    matrix, rhs, _ = kron_linearize(rep, lifts)
+    lin = linearize(rep, lifts)
+    assert lin.system.matrix.astype(np.int64).tobytes() == matrix.tobytes()
+    assert lin.system.rhs.tobytes() == rhs.tobytes()
 
 
 @pytest.mark.parametrize("p", [181, 191])

@@ -401,6 +401,13 @@ def _seeded_system(rows, cols, rank, consistent, seed, p=2, summed=(0,)):
     return AffineSystem(p, a, b)
 
 
+def _identity_over_row(p, cols):
+    """I on top of a row of p - 1s, every right-hand side p - 1: the last
+    right-hand side reaches p - 1 - cols (p-1)^2 in the work copy."""
+    a = np.vstack([np.eye(cols, dtype=np.int64), np.full((1, cols), p - 1)])
+    return AffineSystem(p, a, np.full(cols + 1, p - 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(sys=affine_systems())
 @example(sys=AffineSystem(5, np.zeros((0, 3), dtype=np.int64), []))             # empty
@@ -429,6 +436,13 @@ def _seeded_system(rows, cols, rank, consistent, seed, p=2, summed=(0,)):
 # the widest int32 work copy: one column at p = 32749, where the update
 # leaves p-1 - (p-1)^2 in the right-hand sides below the pivot
 @example(sys=AffineSystem(32749, [[1], [32748], [32748]], [32748, 32748, 1]))
+# the int16 work copy at its bound, 13 + 227 * 12^2 = 32,701, where the last
+# right-hand side reaches 12 - 226 * 144 = -32,532; one column more takes
+# int32; and at p = 131 a system whose last right-hand side, -33,670, would
+# wrap in int16
+@example(sys=_identity_over_row(13, 226))
+@example(sys=_identity_over_row(13, 227))
+@example(sys=_identity_over_row(131, 2))
 # refutations read off the elimination: at p = 5 a row swap, pivots of 2,
 # pivot row 1 with a multiplier at pivot 0, and c.b = 2 before scaling; at
 # p = 2 a sum of four rows whose substitution runs from word 1 into word 0
@@ -465,6 +479,24 @@ def test_solve_matches_reference_solver(sys):
     basis = nullspace(sys.matrix, sys.p)
     assert len(basis) == len(old_basis)
     assert all(_same_array(v, w) for v, w in zip(basis, old_basis))
+
+
+@pytest.mark.parametrize(
+    "p, cols, width",
+    [(13, 226, np.int16), (13, 227, np.int32), (131, 2, np.int32), (32749, 1, np.int32), (32749, 2, np.int64)],
+)
+def test_solve_work_width(p, cols, width, monkeypatch):
+    # the narrowest width below which p + (min(rows, cols) + 1) (p-1)^2 stays
+    seen = []
+    forward = rings._forward_eliminate
+
+    def spy(work, p, pivot_cols):
+        seen.append(work.dtype)
+        return forward(work, p, pivot_cols)
+
+    monkeypatch.setattr(rings, "_forward_eliminate", spy)
+    assert isinstance(solve_affine(_identity_over_row(p, cols)), Inconsistent)
+    assert seen == [width]
 
 
 @st.composite
