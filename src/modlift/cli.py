@@ -117,7 +117,7 @@ def cmd_classify(args) -> int:
             name = f"table:{args.table}"
         else:
             if not args.spec:
-                raise ParseError(0, "need a family spec or --table FILE")
+                raise ParseError(None, "need a family spec or --table FILE")
             name, group = family_from_tokens(args.spec)
     except (OSError, Error) as e:
         print(f"error: {e}", file=sys.stderr)

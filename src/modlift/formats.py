@@ -42,8 +42,10 @@ from .rings import Mat, PrimeCtx
 
 
 class ParseError(Error):
-    def __init__(self, line: int, msg: str):
-        super().__init__(f"line {line}: {msg}")
+    """Malformed input at a 1-based line, or None when no one line is at fault."""
+
+    def __init__(self, line: Optional[int], msg: str):
+        super().__init__(msg if line is None else f"line {line}: {msg}")
         self.line = line
 
 
@@ -154,16 +156,16 @@ def parse_representation(text: str) -> Representation:
             raise ParseError(lineno, f"unknown directive {key!r}")
         i += 1
     if ctx is None:
-        raise ParseError(0, "missing p line")
+        raise ParseError(None, "missing p line")
     if n is None:
-        raise ParseError(0, "missing n line")
+        raise ParseError(None, "missing n line")
     if names is None:
-        raise ParseError(0, "missing gens line")
+        raise ParseError(None, "missing gens line")
     relators = tuple(word_from_tokens(toks, names, lineno) for lineno, toks in rel_tokens)
     pres = Presentation(names, relators)
     missing = [nm for nm in names if nm not in mats]
     if missing:
-        raise ParseError(0, f"missing matrices for {missing}")
+        raise ParseError(None, f"missing matrices for {missing}")
     gen_mats = tuple(Mat(ctx.p, mats[nm]) for nm in names)
     return Representation(ctx, pres, gen_mats, n)
 
@@ -187,7 +189,7 @@ def format_representation(rep: Representation, header: Optional[str] = None) -> 
 def parse_group_table(text: str) -> FiniteGroup:
     lines = list(_logical_lines(text))
     if not lines or lines[0][1][0] != "order":
-        raise ParseError(lines[0][0] if lines else 0, "expected 'order N' header")
+        raise ParseError(lines[0][0] if lines else None, "expected 'order N' header")
     lineno, toks = lines[0]
     try:
         order = int(toks[1])
@@ -232,9 +234,9 @@ def parse_algebra_element(text: str, group: FiniteGroup, mod: int) -> GroupAlgeb
         except ValueError:
             raise ParseError(lineno, "coefficients must be integers") from None
     if not saw_elt:
-        raise ParseError(0, "missing 'elt' header")
+        raise ParseError(None, "missing 'elt' header")
     if len(values) != group.order:
-        raise ParseError(0, f"expected {group.order} coefficients, got {len(values)}")
+        raise ParseError(None, f"expected {group.order} coefficients, got {len(values)}")
     return GroupAlgebraElement(group, mod, values)
 
 
@@ -246,14 +248,14 @@ def format_algebra_element(elt: GroupAlgebraElement) -> str:
 def family_from_tokens(tokens: Sequence[str]) -> tuple:
     """(display name, FiniteGroup) from a family spec."""
     if not tokens:
-        raise ParseError(0, "empty family spec")
+        raise ParseError(None, "empty family spec")
     tag = tokens[0]
     args = []
     for t in tokens[1:]:
         try:
             args.append(int(t))
         except ValueError:
-            raise ParseError(0, f"family parameter {t!r} is not an integer") from None
+            raise ParseError(None, f"family parameter {t!r} is not an integer") from None
     if tag == "C" and len(args) == 1:
         _, g = cyclic_group(args[0])
     elif tag == "Q" and len(args) == 1:
@@ -268,9 +270,9 @@ def family_from_tokens(tokens: Sequence[str]) -> tuple:
         m = args[0]
         n = m.bit_length() - 1
         if m < 2 or m != 1 << n:
-            raise ParseError(0, "C3semi takes a power of two")
+            raise ParseError(None, "C3semi takes a power of two")
         _, g = semidirect_c3_c2n(n)
     else:
-        raise ParseError(0, f"unrecognized family spec {' '.join(tokens)!r}")
+        raise ParseError(None, f"unrecognized family spec {' '.join(tokens)!r}")
     name = g.name or " ".join(tokens)
     return name, g

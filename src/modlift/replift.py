@@ -38,7 +38,9 @@ slab of output rows at a time.  The same walk evaluates the relator
 at the lifts over Z/p^2, in O(log m) matmul_mod products per run, which
 gives E_w and rejects a relator that fails mod p, so it is the one relator
 walk of `check_lift`.  Certificates are re-checked on groups.word_value,
-which shares only rings.power and matmul_mod with that walk.
+which shares only rings.power and matmul_mod with that walk.  Both take
+g^-1 as g^(N-1) where g^N is a relator, which is exact wherever all
+relators hold (see verify_certificate), and from Mat.inv otherwise.
 """
 
 from __future__ import annotations
@@ -158,6 +160,13 @@ def eval_word(mats: Sequence[Mat], word: Word, mod: int, n: int) -> Mat:
     return word_value(word, mats, Mat.identity(mod, n), operator.matmul, Mat.inv)
 
 
+def _power_orders(presentation: Presentation) -> dict:
+    """g -> the least N with g^N, all letters positive, a relator: wherever
+    that relator holds, g^-1 = g^(N-1)."""
+    powers = (w for w in presentation.relators if w and w[0][1] == 1 and w.count(w[0]) == len(w))
+    return {w[0][0]: len(w) for w in sorted(powers, key=len, reverse=True)}
+
+
 def _generator_inverses(rep: Representation) -> list:
     """Each generator's inverse; raise on the first singular generator."""
     invs = []
@@ -169,15 +178,12 @@ def _generator_inverses(rep: Representation) -> list:
     return invs
 
 
-_BROKEN_RELATOR = "relator #{} does not evaluate to the identity"
-
-
 def validate_rep(rep: Representation) -> None:
     """Check invertibility and all relators; raise on the first violation."""
     _generator_inverses(rep)
     for i, w in enumerate(rep.presentation.relators):
         if not eval_word(rep.gen_mats, w, rep.ctx.p, rep.n).is_identity():
-            raise InvalidRepresentation(_BROKEN_RELATOR.format(i))
+            raise InvalidRepresentation(f"relator #{i} does not evaluate to the identity")
 
 
 def canonical_lifts(rep: Representation) -> tuple:
@@ -195,6 +201,8 @@ def randomized_lifts(rep: Representation, rng: np.random.Generator) -> tuple:
 
 
 def _check_naive_lifts(rep: Representation, naive_lifts: Sequence[Mat]) -> None:
+    if len(naive_lifts) != rep.num_gens:
+        raise InvalidRepresentation("one naive lift per generator required")
     for m, lifted in zip(rep.gen_mats, naive_lifts):
         if lifted.mod != rep.ctx.p2 or lifted.reduce(rep.ctx.p) != m:
             raise InvalidRepresentation("naive lifts must reduce to the generator matrices")
@@ -388,9 +396,13 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     whose dtype is np.min_scalar_type(p - 1); the system keeps that narrow,
     read-only A without a copy, and b as int64.  The same walk gives each
     relator's defect E_w, in O(log m) matmul_mod products per run over
-    Z/p^2.  A singular generator, a relator that fails mod p (both with
-    `validate_rep`'s messages) and, before any allocation, a system over
-    MAX_SYSTEM_BYTES raise InvalidRepresentation.
+    Z/p^2.  The F_p inverse of a generator g with a relator g^N
+    (_power_orders) is g^(N-1), in O(log N) matmul_mod products, and
+    Mat.inv's otherwise; lift_inverse's Newton step takes it to Z/p^2.
+    g^(N-1) is g^-1 unless g^N fails mod p, and the walk of g^N takes no
+    inverse, so it then fails.  A singular generator, a relator that fails
+    mod p (both found by `validate_rep`, with its messages) and, before any
+    allocation, a system over MAX_SYSTEM_BYTES raise InvalidRepresentation.
     """
     p, p2 = rep.ctx.p, rep.ctx.p2
     n = rep.n
@@ -404,26 +416,32 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     if naive_lifts is None:
         naive_lifts = canonical_lifts(rep)
     _check_naive_lifts(rep, naive_lifts)
+    orders = _power_orders(rep.presentation)
     inverted = {g for word in relators for g, e in word if e == -1}
     steps, lift_steps = {}, {}
     fdt = _float_dtype(p)
-    for g, (m, m_inv) in enumerate(zip(rep.gen_mats, _generator_inverses(rep))):
-        a, b = m.a, m_inv.a
-        steps[g, 1], lift_steps[g, 1] = np.array((a, b.T), dtype=fdt), naive_lifts[g].a
-        if g in inverted:
-            steps[g, -1] = np.array((b, a.T), dtype=fdt)
-            lift_steps[g, -1] = lift_inverse(naive_lifts[g].a, b, p2)
-    matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.min_scalar_type(p - 1))
-    rhs = np.zeros((len(relators), n, n), dtype=np.int64)
-    defects = []
-    for i, (block, b, word) in enumerate(zip(matrix, rhs, relators)):
-        value = _linearize_relator(block, word, steps, lift_steps, p, p2)
-        try:
+    eye, mul_p = np.eye(n, dtype=np.int64), functools.partial(matmul_mod, mod=p)
+    try:
+        for g, m in enumerate(rep.gen_mats):
+            a = m.a
+            b = power(a, orders[g] - 1, eye, mul_p) if g in orders else m.inv().a
+            steps[g, 1], lift_steps[g, 1] = np.array((a, b.T), dtype=fdt), naive_lifts[g].a
+            if g in inverted:
+                steps[g, -1] = np.array((b, a.T), dtype=fdt)
+                lift_steps[g, -1] = lift_inverse(naive_lifts[g].a, b, p2)
+        matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.min_scalar_type(p - 1))
+        rhs = np.zeros((len(relators), n, n), dtype=np.int64)
+        defects = []
+        for block, b, word in zip(matrix, rhs, relators):
+            value = _linearize_relator(block, word, steps, lift_steps, p, p2)
             defect = split_kernel_element(Mat(p2, value), p)
-        except NotInKernel:
-            raise InvalidRepresentation(_BROKEN_RELATOR.format(i)) from None
-        b[...] = (-defect.a) % p
-        defects.append(defect)
+            b[...] = (-defect.a) % p
+            defects.append(defect)
+    except (Singular, NotInKernel):
+        # g^(N-1) is g^-1 unless g^N fails; validate_rep names the first
+        # singular generator or broken relator, with exact inverses
+        validate_rep(rep)
+        raise AssertionError("internal error: linearize rejected a valid representation") from None
     # every entry is already in [0, p); read-only, the arrays are handed
     # over to the system without a copy
     matrix.flags.writeable = False
@@ -443,7 +461,10 @@ def _certificate_from_solution(rep: Representation, lin: LinearizedSystem, x: np
 
 
 def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
-    """Exact recheck over Z/p^2, independent of the solver."""
+    """Exact recheck over Z/p^2, independent of the solver: each L^-1 is
+    L^(N-1) where L^N is a relator, else Mat.inv's, once per certificate.
+    L^N takes no inverse, so a certificate that passes it had L^(N-1) = L^-1,
+    and one that fails it is rejected: the check stays exact."""
     if len(cert.mats) != rep.num_gens:
         return False
     p, p2 = rep.ctx.p, rep.ctx.p2
@@ -451,8 +472,8 @@ def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
         if lifted.mod != p2 or lifted.n != rep.n or lifted.reduce(p) != m:
             return False
     one = Mat.identity(p2, rep.n)
-    # word_value keeps its inverses for one word; these serve every relator
-    inv = functools.cache(Mat.inv)
+    orders = {cert.mats[g]: order for g, order in _power_orders(rep.presentation).items()}
+    inv = functools.cache(lambda m: m ** (orders[m] - 1) if m in orders else m.inv())
     for word in rep.presentation.relators:
         if not word_value(word, cert.mats, one, operator.matmul, inv).is_identity():
             return False

@@ -290,6 +290,20 @@ def test_cli_check_over_byte_budget(tmp_path, capsys):
     assert peak < 4 << 20
 
 
+def test_cli_check_missing_header_names_no_line(tmp_path, capsys):
+    path = tmp_path / "headless.rep"
+    path.write_text("n 1\ngens 1 s\n")
+    rc = main(["check", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: missing p line\n"
+
+
+def test_cli_classify_bad_spec_names_no_line(capsys):
+    rc = main(["classify", "C3semiC2n", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unrecognized family spec 'C3semiC2n 0'\n"
+
+
 def test_cli_check_json(tmp_path, capsys):
     path = tmp_path / "klein.rep"
     path.write_text(format_representation(klein_witness_rep()))

@@ -1,3 +1,4 @@
+import functools
 import operator
 import time
 import tracemalloc
@@ -10,7 +11,8 @@ from conftest import over_budget_rep, random_invertible, random_valid_instance, 
 from test_rings import reference_inverse
 from modlift import replift
 from modlift.classify import _bad_group_and_witness, induced_witness
-from modlift.formats import family_from_tokens
+from modlift.cli import main
+from modlift.formats import family_from_tokens, parse_representation
 from modlift.groups import (
     Presentation,
     Subgroup,
@@ -54,7 +56,7 @@ from modlift.replift import (
     _stack_powers,
 )
 from modlift import rings
-from modlift.rings import Consistent, Mat, PrimeCtx, matmul_mod, nullspace, solve_affine
+from modlift.rings import Consistent, Mat, PrimeCtx, matmul_mod, merge_kernel_element, nullspace, solve_affine
 from modlift.cyclic_lift import companion_lift, find_divisor_lift, jordan_companion_rep
 
 
@@ -405,6 +407,15 @@ def test_linearize_rejects_foreign_lifts():
         linearize(rep, (Mat(4, [[1, 0], [0, 1]]),))
 
 
+def test_naive_lifts_one_per_generator(klein_rep):
+    lifts = canonical_lifts(klein_rep)
+    word = klein_rep.presentation.relators[0]
+    for wrong in (lifts[:1], lifts + lifts, ()):
+        for check in (linearize, check_lift, lambda rep, ls: relator_defect(rep, ls, word)):
+            with pytest.raises(InvalidRepresentation, match="one naive lift per generator required"):
+                check(klein_rep, wrong)
+
+
 # --- decision procedure -------------------------------------------------------
 
 
@@ -453,9 +464,26 @@ def test_verify_certificate_examples():
     assert not verify_certificate(jrep, LiftCertificate((Mat(4, perturbed),)))
 
 
-def test_verify_certificate_inverts_once_per_certificate(q8_rep, monkeypatch):
-    # t is inverted in two of Q8's relators, s^2 t^-2 and t s t^-1 s
-    cert = check_lift(q8_rep).certificate
+# --- generator inverses from power relators ------------------------------------
+
+# perfbench's long-relator ladder: J_i of <s | s^(p^n)> as (p, n, i)
+LONG_RELATOR_LADDER = (
+    (2, 7, 12), (2, 8, 16), (2, 9, 24), (2, 10, 20), (3, 4, 20), (3, 4, 30),
+    (3, 5, 16), (3, 5, 20), (5, 3, 20), (5, 3, 27), (7, 2, 20), (7, 2, 28),
+)
+# perfbench's search-small groups, with their primes
+SEARCH_SMALL_GROUPS = (
+    (2, lambda: elementary_abelian(2, 2)),
+    (2, lambda: generalized_quaternion(8)),
+    (3, lambda: elementary_abelian(3, 2)),
+    (2, lambda: cyclic_group(8)),
+    (3, lambda: cyclic_group(9)),
+    (7, lambda: cyclic_group(7)),
+)
+
+
+def record_inversions(monkeypatch) -> list:
+    """The matrix of every Mat.inv call from here on, in order."""
     calls = []
     inv = Mat.inv
 
@@ -464,8 +492,151 @@ def test_verify_certificate_inverts_once_per_certificate(q8_rep, monkeypatch):
         return inv(m)
 
     monkeypatch.setattr(Mat, "inv", counted)
+    return calls
+
+
+def test_verify_certificate_inverts_once_per_certificate(q8_rep, monkeypatch):
+    # Q8 = <s, t | s^2 t^-2, s^4, t s t^-1 s>: s^-1 = s^3, but t, inverted
+    # in two relators, has no power relator, so linearize inverts it once
+    # over F_2 and the certificate check once over Z/4
+    calls = record_inversions(monkeypatch)
+    cert = check_lift(q8_rep).certificate
+    assert calls == [q8_rep.gen_mats[1], cert.mats[1]]
+    calls.clear()
     assert verify_certificate(q8_rep, cert)
     assert calls == [cert.mats[1]]
+
+
+def test_power_orders():
+    pres = Presentation(
+        ("s", "t", "u"),
+        (wpow(0, 4), wpow(0, 2), wpow(1, -3), wmul(wpow(2, 2), wpow(1, 1)), (), wpow(2, 5)),
+    )
+    assert replift._power_orders(pres) == {0: 2, 2: 5}
+    assert replift._power_orders(generalized_quaternion(8)[0]) == {0: 4}
+
+
+def test_check_lift_inverts_no_generator_with_a_power_relator(monkeypatch, klein_rep, c3c3_rep):
+    reps = [jordan_companion_rep(PrimeCtx(p), n, i) for p, n, i in LONG_RELATOR_LADDER]
+    reps += [klein_rep, c3c3_rep]
+    regular = [
+        regular_representation(g, PrimeCtx(p))
+        for p, (_, g) in [(2, elementary_abelian(2, 2)), (3, elementary_abelian(3, 2)), (7, cyclic_group(7)),
+                          (2, cyclic_group(8)), (3, cyclic_group(9)), (2, dihedral(16))]
+    ]
+    calls = record_inversions(monkeypatch)
+    for rep in reps:
+        check_lift(rep)
+    # regular representations lift, so their certificates are checked too
+    assert all(check_lift(rep).liftable for rep in regular)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "p, rels, s, t, message",
+    [
+        # s is singular and s^2 is the power relator: the walk of s t s^-1
+        # t^-1, with s^1 in place of s^-1, comes first, but s is named
+        (2, ["s t s^-1 t^-1", "s s", "t t"], "1 1 0\n1 1 0\n0 0 1", "1 0 0\n0 1 0\n0 0 1",
+         "generator 's' is not invertible over F_2"),
+        # both singular: Mat.inv fails on t, which has no power relator,
+        # but s comes first and is named
+        (2, ["s s", "t s t^-1 s^-1"], "1 1 0\n1 1 0\n0 0 1", "1 0 0\n0 0 0\n0 0 1",
+         "generator 's' is not invertible over F_2"),
+        # s has order 4 over F_3, so s^1 is not s^-1: its Newton step over
+        # Z/9 is 2s - s^3 = 3s, and the walk fails on relator #0; the
+        # relator that fails with exact inverses is still the one named
+        (3, ["s t s^-1 t^-1", "s s", "t t"], "0 2\n1 0", "1 0\n0 1",
+         "relator #1 does not evaluate to the identity"),
+    ],
+    ids=["singular-power-generator", "singular-pair", "power-relator-fails"],
+)
+def test_invalid_rep_errors_with_power_relators(tmp_path, capsys, p, rels, s, t, message):
+    n = s.count("\n") + 1
+    text = f"p {p}\nn {n}\ngens 2 s t\n" + "".join(f"rel {r}\n" for r in rels) + f"mat s\n{s}\nmat t\n{t}\n"
+    with pytest.raises(InvalidRepresentation, match=message):
+        check_lift(parse_representation(text))
+    path = tmp_path / "invalid.rep"
+    path.write_text(text)
+    rc = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {path}: {message}\n"
+    assert "VERDICT" not in captured.out
+
+
+def reference_verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
+    """verify_certificate with every inverse from Mat.inv, as it was before
+    inverses were read off power relators; kept as its oracle."""
+    p, p2 = rep.ctx.p, rep.ctx.p2
+    if len(cert.mats) != rep.num_gens:
+        return False
+    for m, lifted in zip(rep.gen_mats, cert.mats):
+        if lifted.mod != p2 or lifted.n != rep.n or lifted.reduce(p) != m:
+            return False
+    return all(eval_word(cert.mats, w, p2, rep.n).is_identity() for w in rep.presentation.relators)
+
+
+def corrected(cert: LiftCertificate, x: np.ndarray, p: int) -> LiftCertificate:
+    """Generator g's matrix L_g replaced by (1 + p X_g) L_g, X_g the g-th n^2
+    entries of x in row-major order."""
+    n = cert.mats[0].n
+    return LiftCertificate(tuple(
+        merge_kernel_element(Mat(p, x[g * n * n : (g + 1) * n * n].reshape(n, n)), p) @ m
+        for g, m in enumerate(cert.mats)
+    ))
+
+
+@functools.cache
+def certified_search_small() -> tuple:
+    """(rep, its certificate from check_lift, a nullspace basis of its lift
+    system) for the regular and a trivial representation of each
+    search-small group."""
+    out = []
+    for p, build in SEARCH_SMALL_GROUPS:
+        pres, g = build()
+        ctx = PrimeCtx(p)
+        for rep in (regular_representation(g, ctx), Representation(ctx, pres, (Mat.identity(p, 2),) * pres.num_gens, 2)):
+            out.append((rep, check_lift(rep).certificate, nullspace(linearize(rep).system.matrix, p)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec, p", [("C 7", 7), ("D 16", 2), ("Q 8", 2), ("CxC 3 3", 3)])
+def test_verify_certificate_rejects_a_broken_power_relator(spec, p):
+    # (1 + p E_00) L on a generator with relator L^N: over Z/p^2 its N-th
+    # power is (1 + p S) L^N, S the sum of the N conjugates of E_00 by L,
+    # which is not 0 for these permutation matrices; L^(N-1) is then not
+    # its inverse, and the certificate must still be rejected
+    _, g = family_from_tokens(spec.split())
+    rep = regular_representation(g, PrimeCtx(p))
+    cert = check_lift(rep).certificate
+    gen, order = max(replift._power_orders(rep.presentation).items())
+    x = np.zeros(rep.num_gens * rep.n**2, dtype=np.int64)
+    x[gen * rep.n**2] = 1
+    tampered = corrected(cert, x, p)
+    assert not (tampered.mats[gen] ** order).is_identity()
+    assert not verify_certificate(rep, tampered)
+    assert not reference_verify_certificate(rep, tampered)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_certificate_matches_all_inverse_oracle(data):
+    rep, cert, kernel = data.draw(st.sampled_from(certified_search_small()))
+    p, cols = rep.ctx.p, rep.num_gens * rep.n**2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    valid = bool(kernel) and data.draw(st.booleans())
+    if valid:
+        # another solution of the lift system: another valid certificate
+        x = rng.integers(0, p, len(kernel)) @ np.array(kernel) % p
+    else:
+        # a few entries tampered with, most often making it invalid
+        x = np.zeros(cols, dtype=np.int64)
+        x[rng.integers(0, cols, data.draw(st.integers(1, 3)))] = rng.integers(1, p, 1)
+    tampered = corrected(cert, x, p)
+    verdict = verify_certificate(rep, tampered)
+    assert verdict == reference_verify_certificate(rep, tampered)
+    assert verdict or not valid
 
 
 def test_check_lift_walks_relators_once(monkeypatch, witness_suite):
