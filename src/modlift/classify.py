@@ -182,10 +182,11 @@ def classify(g: FiniteGroup) -> ClassificationVerdict:
     """Liftable with a family tag, or not liftable with a witness the solver
     independently refuted.
 
-    The decision itself is the subgroup-obstruction predicate; the witness
-    certification is reported via the `certified` flag rather than trusted
-    (`certified=False` marks the rare case where the attached witness does
-    not actually refute, i.e. the solver contradicts the theory).
+    The decision is the subgroup-obstruction predicate; with no obstruction,
+    `is_listed_family` reads the tag off the element orders, and if it names
+    no family, CertificationFailed.  `certified` reports the witness check
+    rather than trusting it (False marks the rare case where the attached
+    witness does not refute, i.e. the solver contradicts the theory).
 
     The witness is the bad subgroup's canonical witness induced up to G
     while that stays within replift.MAX_DIMENSION and G realizes a
@@ -193,18 +194,12 @@ def classify(g: FiniteGroup) -> ClassificationVerdict:
     witness is F_p[C_p]/(1-s)^k with k = min(p - 2, MAX_DIMENSION), so every
     prime order admitted gets a witness the checker accepts.
     """
-    n = g.order
-    two_part = n & -n
-    rest = n // two_part
-    order_ok = rest == 1 or rest == 3
     bad = find_subgroup_witness(g)
-    if order_ok and bad is None:
-        tag = "Trivial" if n == 1 else is_listed_family(g)
+    if bad is None:
+        tag = "Trivial" if g.order == 1 else is_listed_family(g)
         if tag is None:
             raise CertificationFailed("no obstruction found but group is not a listed family")
         return ClassificationVerdict(liftable=True, tag=tag, certified=True)
-    if bad is None:
-        raise CertificationFailed("order rules out liftability but no witness subgroup found")
 
     _, rep_h = _bad_group_and_witness(bad.kind, bad.prime)
     induced_dim = (g.order // len(bad.elements)) * rep_h.n

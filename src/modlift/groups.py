@@ -464,8 +464,10 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
     Grows a p-subgroup H by the first element (ascending index) of p-power
     order that normalizes H; such an element exists whenever |H| is short of
     the full p-part.  A p-group is its own Sylow p-subgroup, returned at
-    once.
+    once.  p must be prime (ValueError otherwise).
     """
+    if not rings.is_prime(p):
+        raise ValueError(f"sylow needs a prime, got {p}")
     target = 1
     n = g.order
     while n % p == 0:
@@ -571,28 +573,19 @@ def find_subgroup_witness(g: FiniteGroup) -> Optional[BadSubgroup]:
 
 
 def is_listed_family(g: FiniteGroup) -> Optional[str]:
-    """Recognize the three liftable families, directly from the table.
+    """The liftable family of g, read off its element orders, or None.
 
-    C2n:       order 2^a, cyclic.
-    C3xC2n:    order 3*2^a, cyclic (the direct product is cyclic).
-    C3semiC2n: order 3*2^a, x of order 3 and y of order 2^a with y x y^-1 =
-               x^-1 and <x, y> the whole group (so the Sylow-2 <y> is cyclic
-               and the group non-abelian).
+    The liftable groups are C_{2^a}, C3 x C_{2^a} and C3 : C_{2^a}.  For
+    |G| = 2^a or 3*2^a that says the Sylow 2-subgroup P is cyclic, i.e. some
+    element has order 2^a: Aut(P) is then a 2-group, so P is central in its
+    normalizer, and Burnside's normal p-complement theorem gives G = C3 : P
+    (Gorenstein, Finite Groups, 7.4).  Cyclic G is C2n or C3xC2n; otherwise
+    P acts on C3 by inversion and G is C3semiC2n.
     """
     n = g.order
-    two_part = n & -n
-    rest = n // two_part
-    if rest == 1:
-        return "C2n" if g.is_cyclic() else None
-    if rest != 3:
+    two = n & -n
+    if n // two not in (1, 3) or not (g.orders == two).any():
         return None
-    if g.is_cyclic():
-        return "C3xC2n"
-    order3 = [x for x in range(1, n) if g.order_of(x) == 3]
-    gens2 = [y for y in range(1, n) if g.order_of(y) == two_part]
-    for x in order3:
-        xinv = g.inv_of(x)
-        for y in gens2:
-            if g.conjugate(y, x) == xinv and len(closure(g, (x, y))) == n:
-                return "C3semiC2n"
-    return None
+    if two == n:
+        return "C2n"
+    return "C3xC2n" if g.is_cyclic() else "C3semiC2n"

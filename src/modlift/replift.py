@@ -474,10 +474,11 @@ def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
     one = Mat.identity(p2, rep.n)
     orders = {cert.mats[g]: order for g, order in _power_orders(rep.presentation).items()}
     inv = functools.cache(lambda m: m ** (orders[m] - 1) if m in orders else m.inv())
-    for word in rep.presentation.relators:
-        if not word_value(word, cert.mats, one, operator.matmul, inv).is_identity():
-            return False
-    return True
+    try:
+        return all(word_value(w, cert.mats, one, operator.matmul, inv).is_identity()
+                   for w in rep.presentation.relators)
+    except Singular:      # a relator inverts a lift that is singular mod p
+        return False
 
 
 def check_lift(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) -> LiftVerdict:

@@ -382,6 +382,22 @@ def test_cli_classify_table(tmp_path, capsys):
     assert "VERDICT: NOT_LIFTABLE (Cp)" in out
 
 
+@pytest.mark.parametrize(
+    "spec, tag", [("C 3", "C3xC2n"), ("C3semi 2", "C3semiC2n"), ("C3semi 4", "C3semiC2n")],
+    ids=["C3", "S3", "Dic3"],
+)
+def test_cli_classify_liftable_table(tmp_path, capsys, spec, tag):
+    # a table has no presentation, so the tag comes from the table alone
+    _, g = family_from_tokens(spec.split())
+    path = tmp_path / "g.tbl"
+    path.write_text(format_group_table(g))
+    assert main(["classify", "--table", str(path)]) == 0
+    assert f"VERDICT: LIFTABLE ({tag})" in capsys.readouterr().out
+    assert main(["classify", "--table", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["verdict"], payload["tag"], payload["order"]) == ("LIFTABLE", tag, g.order)
+
+
 def test_cli_classify_rejects_non_associative_table(tmp_path, capsys):
     path = tmp_path / "swapped.tbl"
     rows = [" ".join(map(str, row)) for row in swapped_c1024_table().tolist()]

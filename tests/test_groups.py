@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import operator
 import tracemalloc
@@ -339,6 +340,14 @@ def test_sylow_order_is_p_part():
             assert sylow(g, p).order == p_part
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_sylow_rejects_non_prime(p):
+    # without the prime check p = 1 never leaves the p-part loop: hence the limit
+    _, c12 = cyclic_group(12)
+    with time_limit(3), pytest.raises(ValueError):
+        sylow(c12, p)
+
+
 def test_sylow_of_p_group_is_whole(monkeypatch):
     # |D2048| = 2^11: the whole group, with no normalizer scan
     _, g = dihedral(2048)
@@ -431,6 +440,76 @@ def test_witness_none_on_listed_families():
 # --- family recognition ------------------------------------------------------
 
 
+def reference_listed_family(g):
+    """The structural recognizer the element-order rule replaced: the family
+    tag from a pair scan over order-3 and order-2^a elements."""
+    n = g.order
+    two_part = n & -n
+    rest = n // two_part
+    if rest == 1:
+        return "C2n" if g.is_cyclic() else None
+    if rest != 3:
+        return None
+    if g.is_cyclic():
+        return "C3xC2n"
+    order3 = [x for x in range(1, n) if g.order_of(x) == 3]
+    gens2 = [y for y in range(1, n) if g.order_of(y) == two_part]
+    for x in order3:
+        xinv = g.inv_of(x)
+        for y in gens2:
+            if g.conjugate(y, x) == xinv and len(closure(g, (x, y))) == n:
+                return "C3semiC2n"
+    return None
+
+
+def _matrix_perm_group(mats):
+    """The group generated by 2x2 matrices over F_3, acting on the 8 nonzero
+    vectors of F_3^2."""
+    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+    perms = [
+        tuple(vecs.index(((a * x + b * y) % 3, (c * x + d * y) % 3)) for x, y in vecs)
+        for (a, b), (c, d) in mats
+    ]
+    return perm_group(perms, [f"m{i}" for i in range(len(perms))], ())[1]
+
+
+@functools.lru_cache(maxsize=1)
+def family_test_groups():
+    """Cyclic groups, abelian products, 2-groups, the C3 : C_{2^k} family,
+    small products of liftable and non-liftable groups, and four
+    permutation groups: a set on which both family rules must agree."""
+    groups = [cyclic_group(n)[1] for n in range(1, 200)]
+    # C_a x C_b for 2 <= a <= b and ab <= 400
+    groups += [direct_product_cyclic(a, b)[1] for a in range(2, 21) for b in range(a, 401 // a)]
+    groups += [dihedral(2 ** k)[1] for k in range(2, 9)]
+    groups += [generalized_quaternion(2 ** k)[1] for k in range(3, 9)]
+    groups += [semidirect_c3_c2n(k)[1] for k in range(1, 9)]
+    factors = [
+        semidirect_c3_c2n(2)[1],
+        semidirect_c3_c2n(3)[1],
+        generalized_quaternion(8)[1],
+        dihedral(8)[1],
+        cyclic_group(8)[1],
+    ]
+    groups += [direct_product(f, cyclic_group(m)[1]) for f in factors for m in (2, 3, 4)]
+    groups += [
+        perm_group([(1, 0, 2, 3), (1, 2, 3, 0)], ["s", "t"], ())[1],     # S4
+        perm_group([(1, 2, 0, 3), (1, 0, 3, 2)], ["s", "t"], ())[1],     # A4
+        _matrix_perm_group([((1, 1), (0, 1)), ((1, 0), (1, 1))]),        # SL(2,3)
+        _matrix_perm_group([((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))]),  # GL(2,3)
+    ]
+    return tuple(groups)
+
+
+def test_is_listed_family_matches_reference():
+    groups = family_test_groups()
+    assert [g.order for g in groups[-4:]] == [24, 12, 24, 48]
+    tags = [reference_listed_family(g) for g in groups]
+    assert set(tags) == {"C2n", "C3xC2n", "C3semiC2n", None}
+    for g, tag in zip(groups, tags):
+        assert is_listed_family(g) == tag, g.name
+
+
 def test_is_listed_family_examples():
     assert is_listed_family(cyclic_group(12)[1]) == "C3xC2n"
     assert is_listed_family(semidirect_c3_c2n(2)[1]) == "C3semiC2n"
@@ -452,7 +531,7 @@ def test_witness_iff_not_listed():
         elementary_abelian(2, 2)[1],
         elementary_abelian(3, 2)[1],
         dihedral(8)[1],
-    ]
+    ] + list(family_test_groups())
     for g in groups:
         assert (find_subgroup_witness(g) is None) == (is_listed_family(g) is not None)
 

@@ -16,6 +16,7 @@ from modlift.formats import family_from_tokens, parse_representation
 from modlift.groups import (
     Presentation,
     Subgroup,
+    commutator,
     cyclic_group,
     dihedral,
     direct_product_cyclic,
@@ -462,6 +463,16 @@ def test_verify_certificate_examples():
     perturbed = cert.mats[0].a.copy()
     perturbed[0, 0] = (perturbed[0, 0] + 2) % 4  # one entry shifted by p
     assert not verify_certificate(jrep, LiftCertificate((Mat(4, perturbed),)))
+
+
+@pytest.mark.parametrize("power_relator", [False, True], ids=["commutator", "with-s^2"])
+def test_verify_certificate_rejects_a_singular_lift(power_relator):
+    # s is singular mod 2; with no power relator the commutator inverts it
+    # by Mat.inv, whose Singular must fail the check rather than escape it
+    rels = (commutator(0, 1),) + ((wpow(0, 2),) if power_relator else ())
+    s, t = Mat(2, [[1, 1], [1, 1]]), Mat.identity(2, 2)
+    rep = Representation(CTX2, Presentation(("s", "t"), rels), (s, t), 2)
+    assert not verify_certificate(rep, LiftCertificate(canonical_lifts(rep)))
 
 
 # --- generator inverses from power relators ------------------------------------
