@@ -32,7 +32,7 @@ from .formats import (
 )
 from .classify import classify
 from .obstruction import theta
-from .replift import brute_force_lift, check_lift
+from .replift import DEFAULT_BRUTE_BUDGET, brute_force_lift, check_lift
 from .rings import Mat, PrimeCtx
 
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true")
     p_check.add_argument("--oracle", action="store_true",
                          help="also run the brute-force oracle and compare")
-    p_check.add_argument("--max-brute", type=int, default=1 << 20,
+    p_check.add_argument("--max-brute", type=int, default=DEFAULT_BRUTE_BUDGET,
                          help="brute-force oracle budget (default 2^20)")
     p_check.set_defaults(fn=cmd_check)
 

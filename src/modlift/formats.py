@@ -96,11 +96,17 @@ def parse_representation(text: str) -> Representation:
     mats = {}
     current: Optional[str] = None
     pending_rows = []
+    headers = set()
     lines = list(_logical_lines(text))
     i = 0
     while i < len(lines):
         lineno, toks = lines[i]
         key = toks[0]
+        if key in ("p", "n", "gens"):
+            # mat blocks need all three, so this also rejects one after a mat block
+            if key in headers:
+                raise ParseError(lineno, f"repeated {key} line")
+            headers.add(key)
         if key == "p":
             try:
                 ctx = PrimeCtx(_single_int(toks, lineno))

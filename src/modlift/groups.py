@@ -351,37 +351,43 @@ def semidirect_c3_c2n(n: int) -> tuple:
 
 
 def perm_group(perms: Sequence[tuple], names: Sequence[str], relators: Sequence[Word], name=None) -> tuple:
-    """Closure of permutation generators; multiplication (f*g)(i) = f(g(i)).
+    """Closure of permutations of 0..d-1; multiplication (f*g)(i) = f(g(i)).
 
     Elements are indexed in BFS discovery order from the identity, so the
-    identity gets index 0.
+    identity gets index 0.  The walk records the edge y = x*s_k that found
+    each element; as (x s_k) z = x (s_k z), row y of the table is row x
+    gathered at row_k[j] = index(s_k * e_j).
     """
     if not perms:
         raise UnsupportedFamily("need at least one permutation")
     deg = len(perms[0])
     ident = tuple(range(deg))
+    if any(len(s) != deg or set(s) != set(ident) for s in perms):
+        raise UnsupportedFamily(f"generators must be permutations of 0..{deg - 1}")
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for s in perms:
+    found_by = [None]
+    for x, cur in enumerate(elems):  # elems grows behind the loop: a BFS
+        for k, s in enumerate(perms):
             nxt = tuple(cur[s[i]] for i in range(deg))  # cur after s: (cur . s)
             if nxt not in index:
                 index[nxt] = len(elems)
                 elems.append(nxt)
-                queue.append(nxt)
+                found_by.append((x, k))
         if len(elems) > MAX_ORDER:
             raise OrderTooLarge("permutation closure exceeds order cap")
     n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for i, f in enumerate(elems):
-        for j, g in enumerate(elems):
-            table[i][j] = index[tuple(f[g[k]] for k in range(deg))]
+    # moved[k][j] = s_k * e_j
+    moved = np.asarray(perms, dtype=np.int64)[:, np.array(elems, dtype=np.int64)].tolist()
+    rows = np.array([[index[tuple(e)] for e in m] for m in moved], dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    table[0] = np.arange(n)
+    for y, (x, k) in enumerate(found_by[1:], 1):
+        table[y] = table[x, rows[k]]
+    table.flags.writeable = False
     pres = Presentation(tuple(names), tuple(relators))
-    gens = tuple(index[p] for p in perms)
-    g = FiniteGroup(table, pres, gens, name=name)
-    return pres, g
+    gens = tuple(int(i) for i in rows[:, 0])  # index(s_k * identity)
+    return pres, FiniteGroup(table, pres, gens, name=name)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name=None) -> FiniteGroup:

@@ -15,32 +15,12 @@ independently checkable certificate.
 
 In the row-major layout the map A |-> v A v^-1 is kron(v, (v^-1)^T), so
 entry [(a,b),(c,d)] of generator g's block is sum_t e_t v_t[a,c] v_t^-1[d,b]
-over the letters t of g.  `linearize` walks each relator once, stacks the
-prefixes v_t and v_t^-1 as rows of two matrices and forms that sum as one
-float matrix product per generator.  The walk goes one run at a time: a
-run is a maximal block g^(+-m) of one repeated letter, and its m stacked
-prefixes are v g^t for t < m, which are made by doubling,
-[P_k; P_k g^k], in O(log m) float products of stacked (k n, n) by (n, n)
-matrices.  Their entries are below p <= PRIME_CAP and n <= MAX_DIMENSION,
-so those sums stay below 64 * (p-1)^2.  Each generator's prefix pairs go
-into one buffer of at most _CHUNK letters, and the block product is taken,
-reduced mod p and added into A each time the buffer fills, so no sum
-exceeds _CHUNK * (p-1)^2 + p either.  Every term is >= 0, so every partial
-sum, in any BLAS order, is an integer below that bound, and the float
-width follows from p as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS
-35(3), 2008): float32 while the bound is under 2^24 (p <= 181), float64,
-exact below 2^53, for every larger admitted prime.  There is no integer
-path.  Every reduction is _reduce_mod's floor-and-correct, q = floor(x *
-(1/p)) and x - q p, exact below 2^24 or 2^53 and 5-60 times faster here
-than numpy's fmod.  A is written once, at its natural width (uint8 for p < 2^8, uint16
-otherwise): each buffer's product is formed, reduced and added into A one
-slab of output rows at a time.  The same walk evaluates the relator
-at the lifts over Z/p^2, in O(log m) matmul_mod products per run, which
-gives E_w and rejects a relator that fails mod p, so it is the one relator
-walk of `check_lift`.  Certificates are re-checked on groups.word_value,
-which shares only rings.power and matmul_mod with that walk.  Both take
-g^-1 as g^(N-1) where g^N is a relator, which is exact wherever all
-relators hold (see verify_certificate), and from Mat.inv otherwise.
+over the letters t of g.  `linearize` forms that sum as one float matrix
+product per generator.  Every partial sum is a nonnegative integer below the
+mantissa, so the products are exact in any BLAS order, and the float width
+follows from p as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
+2008).  `linearize`, `_linearize_relator`, `_float_dtype`, `_reduce_mod` and
+`verify_certificate` give the walk, the bounds and the exact recheck.
 """
 
 from __future__ import annotations
@@ -55,7 +35,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Error
-from .groups import FiniteGroup, Presentation, Subgroup, Word, extend_hom, transversal, word_value
+from .groups import (
+    FiniteGroup,
+    NotASubgroup,
+    Presentation,
+    Subgroup,
+    Word,
+    extend_hom,
+    transversal,
+    word_value,
+)
 from .rings import (
     AffineSystem,
     Consistent,
@@ -81,10 +70,6 @@ class BudgetExceeded(Error):
 
 
 class UnrealizedPresentation(Error):
-    pass
-
-
-class NotASubgroupError(Error):
     pass
 
 
@@ -392,8 +377,8 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     nonnegative sums stay below _CHUNK * (p-1)^2 + p, under 2^24 in float32
     and 2^53 in float64: exact in any summation order, with no integer
     fallback.  Each buffer's product is formed and reduced one slab of rows
-    at a time and added into A,
-    whose dtype is np.min_scalar_type(p - 1); the system keeps that narrow,
+    at a time and added into A, whose dtype is np.min_scalar_type(p - 1),
+    uint8 for p < 2^8 and uint16 above; the system keeps that narrow,
     read-only A without a copy, and b as int64.  The same walk gives each
     relator's defect E_w, in O(log m) matmul_mod products per run over
     Z/p^2.  The F_p inverse of a generator g with a relator g^N
@@ -461,8 +446,10 @@ def _certificate_from_solution(rep: Representation, lin: LinearizedSystem, x: np
 
 
 def verify_certificate(rep: Representation, cert: LiftCertificate) -> bool:
-    """Exact recheck over Z/p^2, independent of the solver: each L^-1 is
-    L^(N-1) where L^N is a relator, else Mat.inv's, once per certificate.
+    """Exact recheck over Z/p^2, independent of the solver: groups.word_value
+    walks the relators and shares only rings.power and matmul_mod with
+    linearize's walk.  Each L^-1 is L^(N-1) where L^N is a relator, else
+    Mat.inv's, once per certificate.
     L^N takes no inverse, so a certificate that passes it had L^(N-1) = L^-1,
     and one that fails it is rejected: the check stays exact."""
     if len(cert.mats) != rep.num_gens:
@@ -544,14 +531,14 @@ def induce(
     rep_h(t_i^-1 g0 t_j) when that element lands in sub, else zero.
     """
     if sub.parent is not g:
-        raise NotASubgroupError("subgroup belongs to a different parent group")
+        raise NotASubgroup("subgroup belongs to a different parent group")
     if g.presentation is None or g.gen_indices is None:
         raise UnrealizedPresentation("target group does not realize a presentation")
     hom = np.asarray(hom, dtype=np.int64)
     if hom.shape != (h_group.order,) or not np.array_equal(np.sort(hom), sub.elements):
-        raise NotASubgroupError("hom must biject the abstract group onto the subgroup")
+        raise NotASubgroup("hom must biject the abstract group onto the subgroup")
     if not np.array_equal(hom[h_group.table], g.table[np.ix_(hom, hom)]):
-        raise NotASubgroupError("hom is not a homomorphism")
+        raise NotASubgroup("hom is not a homomorphism")
     inv_hom = np.full(g.order, -1)
     inv_hom[hom] = np.arange(h_group.order)
     mats_h = np.stack([m.a for m in _realize_all_elements(rep_h, h_group)])

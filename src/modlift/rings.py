@@ -181,8 +181,6 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_compatible(other)
-        if self.n == 0:
-            return self
         return Mat(self.mod, matmul_mod(self.a, other.a, self.mod))
 
     def __add__(self, other: "Mat") -> "Mat":

@@ -59,6 +59,29 @@ def test_representation_rejects_out_of_range_entries():
         parse_representation(text)
 
 
+# entries checked against p = 3 and then reduced mod 2 if the late p were read
+LATE_P = "p 3\nn 2\ngens 1 s\nrel s s s\nmat s\n1 2\n0 1\np 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LATE_P, "line 8: repeated p line"),
+        ("p 2\nn 1\ngens 1 s\nmat s\n1\nn 1\n", "line 6: repeated n line"),
+        ("p 2\nn 1\ngens 1 s\nmat s\n1\ngens 1 s\n", "line 6: repeated gens line"),
+    ],
+    ids=["p", "n", "gens"],
+)
+def test_representation_rejects_header_after_mat(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_representation(text)
+
+
+def test_representation_takes_rel_after_mat():
+    rep = parse_representation("p 3\nn 1\ngens 1 s\nmat s\n1\nrel s s s\nrel s\n")
+    assert len(rep.presentation.relators) == 2
+
+
 def test_group_table_round_trip():
     _, g = cyclic_group(6)
     text = format_group_table(g)
@@ -155,6 +178,9 @@ def test_cli_check_malformed(tmp_path, capsys):
         ("p 1\nn 1\ngens 1 s\n", "line 1: p must be a prime"),
         ("p 2\nn 1\ngens 2 s s\n", "line 3: duplicate generator name 's'"),
         ("p 2\nn 1\ngens 1 s^-1\n", "line 3: generator name 's^-1' ends in '^-1'"),
+        ("p 2\np 2\nn 1\ngens 1 s\n", "line 2: repeated p line"),
+        ("p 2\nn 2\nn 1\ngens 1 s\n", "line 3: repeated n line"),
+        ("p 2\nn 1\ngens 1 s\ngens 1 s\n", "line 4: repeated gens line"),
     ],
 )
 def test_cli_check_rejects_bad_header(tmp_path, capsys, header, message):
@@ -165,6 +191,16 @@ def test_cli_check_rejects_bad_header(tmp_path, capsys, header, message):
     assert rc == 2
     assert err.startswith("error: ")
     assert message in err
+
+
+def test_cli_check_rejects_late_p(tmp_path, capsys):
+    path = tmp_path / "late.rep"
+    path.write_text(LATE_P)
+    rc = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "VERDICT" not in out
+    assert err == f"error: {path}: line 8: repeated p line\n"
 
 
 def _token_lines(tokens, max_lines):

@@ -315,6 +315,86 @@ def test_perm_group_a4():
     assert sorted(set(int(o) for o in g.orders)) == [1, 2, 3]
 
 
+def reference_perm_group(perms, names, relators, name=None):
+    """The former perm_group: BFS closure, then all n^2 products of
+    permutation tuples looked up one by one."""
+    if not perms:
+        raise UnsupportedFamily("need at least one permutation")
+    deg = len(perms[0])
+    ident = tuple(range(deg))
+    elems = [ident]
+    index = {ident: 0}
+    queue = [ident]
+    while queue:
+        cur = queue.pop(0)
+        for s in perms:
+            nxt = tuple(cur[s[i]] for i in range(deg))  # cur after s: (cur . s)
+            if nxt not in index:
+                index[nxt] = len(elems)
+                elems.append(nxt)
+                queue.append(nxt)
+        if len(elems) > MAX_ORDER:
+            raise OrderTooLarge("permutation closure exceeds order cap")
+    n = len(elems)
+    table = [[0] * n for _ in range(n)]
+    for i, f in enumerate(elems):
+        for j, g in enumerate(elems):
+            table[i][j] = index[tuple(f[g[k]] for k in range(deg))]
+    pres = Presentation(tuple(names), tuple(relators))
+    gens = tuple(index[p] for p in perms)
+    g = FiniteGroup(table, pres, gens, name=name)
+    return pres, g
+
+
+def _cycle(deg, points):
+    """The permutation of 0..deg-1 that cycles the points."""
+    perm = list(range(deg))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return tuple(perm)
+
+
+PERM_GROUPS = {
+    "S4": ((1, 0, 2, 3), (1, 2, 3, 0)),
+    "A4": ((1, 2, 0, 3), (1, 0, 3, 2)),
+    "A5": (_cycle(5, [0, 1, 2]), _cycle(5, [0, 1, 2, 3, 4])),
+    "S5": (_cycle(5, [0, 1]), _cycle(5, [0, 1, 2, 3, 4])),
+    "S6": (_cycle(6, [0, 1]), _cycle(6, [0, 1, 2, 3, 4, 5])),
+}
+
+
+@pytest.mark.parametrize("name", PERM_GROUPS)
+def test_perm_group_matches_reference(name):
+    perms = PERM_GROUPS[name]
+    relators = (wpow(0, 2),) if name.startswith("S") else ()
+    pres, g = perm_group(perms, ("a", "b"), relators, name=name)
+    ref_pres, ref = reference_perm_group(perms, ("a", "b"), relators, name=name)
+    assert g.order == ref.order == {"S4": 24, "A4": 12, "A5": 60, "S5": 120, "S6": 720}[name]
+    assert g.table.tobytes() == ref.table.tobytes()
+    assert g.gen_indices == ref.gen_indices
+    assert pres == ref_pres == g.presentation
+
+
+def test_perm_group_a7_speed():
+    with time_limit(2):
+        _, g = perm_group((_cycle(7, [0, 1, 2]), _cycle(7, list(range(7)))), ("a", "b"), ())
+    assert g.order == 2520
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        [(1, 0, 2), (1, 0)],         # second generator of lower degree
+        [(1, 0), (1, 0, 2)],         # second generator of higher degree
+        [(1, 0, 2), (0, 0, 2)],      # not a bijection
+        [(1, 0, 2), (0, 1, 3)],      # entry out of range
+    ],
+)
+def test_perm_group_rejects_non_permutations(perms):
+    with pytest.raises(UnsupportedFamily, match="generators must be permutations"):
+        perm_group(perms, ("a", "b"), ())
+
+
 # --- subgroup machinery ----------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from modlift.classify import _bad_group_and_witness, induced_witness
 from modlift.cli import main
 from modlift.formats import family_from_tokens, parse_representation
 from modlift.groups import (
+    NotASubgroup,
     Presentation,
     Subgroup,
     commutator,
@@ -36,7 +37,6 @@ from modlift.replift import (
     BudgetExceeded,
     InvalidRepresentation,
     LiftCertificate,
-    NotASubgroupError,
     Representation,
     UnrealizedPresentation,
     brute_force_lift,
@@ -776,9 +776,9 @@ def test_induce_rejects_bad_hom():
     sub = Subgroup(g, (0, 1, 2, 3))  # <tau> inside C2 x C4
     triv = Representation(CTX2, c4.presentation, (Mat.identity(2, 1),), 1)
     induce(triv, c4, g, sub, [0, 1, 2, 3])  # the genuine embedding works
-    with pytest.raises(NotASubgroupError):
+    with pytest.raises(NotASubgroup):
         induce(triv, c4, g, sub, [0, 1, 3, 2])  # bijection but not a homomorphism
-    with pytest.raises(NotASubgroupError):
+    with pytest.raises(NotASubgroup):
         induce(triv, c4, g, sub, [0, 1, 2, 5])  # image is not the subgroup
 
 
