@@ -33,12 +33,7 @@ from .formats import (
 from .classify import classify
 from .obstruction import theta
 from .replift import DEFAULT_BRUTE_BUDGET, brute_force_lift, check_lift
-from .rings import Mat, PrimeCtx
-
-
-def _print_matrix_lines(out: list, prefix: str, name: str, m: Mat):
-    flat = " ".join(str(int(v)) for v in m.a.reshape(-1))
-    out.append(f"{prefix} {name} {m.n} {flat}")
+from .rings import PrimeCtx
 
 
 def _emit(out: list, as_json: bool, payload: dict) -> str:
@@ -47,12 +42,18 @@ def _emit(out: list, as_json: bool, payload: dict) -> str:
     return "\n".join(out)
 
 
+def _load_group(table: Optional[str], spec) -> tuple:
+    """(display name, FiniteGroup) from the table file if one is named, else
+    from the family spec tokens."""
+    if table:
+        return f"table:{table}", parse_group_table(Path(table).read_text())
+    return family_from_tokens(spec)
+
+
 def cmd_check(args) -> int:
     status = 0
     reports = []
     for path in args.files:
-        out = []
-        payload = {"command": "check", "file": str(path)}
         t0 = time.perf_counter()
         try:
             rep = parse_representation(Path(path).read_text())
@@ -61,29 +62,31 @@ def cmd_check(args) -> int:
             print(f"error: {path}: {e}", file=sys.stderr)
             status = 2
             continue
-        out.append(f"# check {path}")
-        out.append(
+        payload = {
+            "command": "check",
+            "file": str(path),
+            "verdict": "LIFTABLE" if verdict.liftable else "NOT_LIFTABLE",
+        }
+        out = [
+            f"# check {path}",
             f"p={rep.ctx.p} n={rep.n} generators={rep.num_gens} "
-            f"relators={len(rep.presentation.relators)}"
-        )
+            f"relators={len(rep.presentation.relators)}",
+            f"VERDICT: {payload['verdict']}",
+        ]
         if verdict.liftable:
-            out.append("VERDICT: LIFTABLE")
-            payload["verdict"] = "LIFTABLE"
             cert = {}
             for nm, m in zip(rep.presentation.names, verdict.certificate.mats):
-                _print_matrix_lines(out, "CERT:", nm, m)
                 cert[nm] = [list(r) for r in m.rows()]
+                out.append(f"CERT: {nm} {m.n} " + " ".join(str(v) for r in cert[nm] for v in r))
             payload["certificate_mod"] = rep.ctx.p2
             payload["certificate"] = cert
             out.append("verified: certificate ok")
         else:
-            out.append("VERDICT: NOT_LIFTABLE")
-            payload["verdict"] = "NOT_LIFTABLE"
-            flat = " ".join(str(int(v)) for v in verdict.refutation)
-            out.append(f"REFUTE: {flat}")
-            payload["refutation"] = [int(v) for v in verdict.refutation]
+            refutation = [int(v) for v in verdict.refutation]
+            payload["refutation"] = refutation
             cols = rep.num_gens * rep.n * rep.n
-            out.append(f"system: {len(verdict.refutation)} rows, {cols} cols over F_{rep.ctx.p}")
+            out.append("REFUTE: " + " ".join(map(str, refutation)))
+            out.append(f"system: {len(refutation)} rows, {cols} cols over F_{rep.ctx.p}")
             out.append("verified: refutation ok")
         # check_lift re-checks the certificate or refutation exactly and
         # raises if that fails, so a verdict that reaches here is verified
@@ -109,28 +112,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    payload = {"command": "classify"}
-    out = []
     try:
-        if args.table:
-            group = parse_group_table(Path(args.table).read_text())
-            name = f"table:{args.table}"
-        else:
-            if not args.spec:
-                raise ParseError(None, "need a family spec or --table FILE")
-            name, group = family_from_tokens(args.spec)
+        if not (args.table or args.spec):
+            raise ParseError(None, "need a family spec or --table FILE")
+        name, group = _load_group(args.table, args.spec)
+        t0 = time.perf_counter()
+        verdict = classify(group)
     except (OSError, Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    payload["group"] = name
-    payload["order"] = group.order
-    out.append(f"# classify {name} (order {group.order})")
-    t0 = time.perf_counter()
-    try:
-        verdict = classify(group)
-    except Error as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    payload = {"command": "classify", "group": name, "order": group.order}
+    out = [f"# classify {name} (order {group.order})"]
     if verdict.liftable:
         out.append(f"VERDICT: LIFTABLE ({verdict.tag})")
         payload["verdict"] = "LIFTABLE"
@@ -152,13 +144,10 @@ def cmd_classify(args) -> int:
         payload["witness_level"] = verdict.witness_level
         payload["witness_certified"] = verdict.certified
         payload["witness"] = format_representation(w)
-        out.append("WITNESS-BEGIN")
-        out.append(format_representation(w).rstrip("\n"))
-        out.append("WITNESS-END")
+        out += ["WITNESS-BEGIN", payload["witness"].rstrip("\n"), "WITNESS-END"]
         if verdict.certified:
-            flat = " ".join(str(int(v)) for v in verdict.witness_verdict.refutation)
-            out.append(f"REFUTE: {flat}")
             payload["refutation"] = [int(v) for v in verdict.witness_verdict.refutation]
+            out.append("REFUTE: " + " ".join(map(str, payload["refutation"])))
         else:
             out.append("warning: witness NOT refuted by the solver (it lifts); "
                        "verdict rests on the subgroup criterion alone")
@@ -168,33 +157,28 @@ def cmd_classify(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    payload = {"command": "theta"}
-    out = []
     try:
         ctx = PrimeCtx(args.p)
         tokens = args.group.split()
-        if len(tokens) == 1 and Path(tokens[0]).exists():
-            group = parse_group_table(Path(tokens[0]).read_text())
-            name = f"table:{tokens[0]}"
-        else:
-            name, group = family_from_tokens(tokens)
+        table = tokens[0] if len(tokens) == 1 and Path(tokens[0]).exists() else None
+        name, group = _load_group(table, tokens)
         f = parse_algebra_element(Path(args.f_file).read_text(), group, ctx.p)
         h = parse_algebra_element(Path(args.h_file).read_text(), group, ctx.p)
         cls = theta(group, f, h)
     except (OSError, Error, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    payload["group"] = name
-    out.append(f"# theta over {name}, p={args.p}")
-    if cls.is_zero:
-        out.append("THETA: ZERO")
-        payload["theta"] = "ZERO"
-    else:
-        out.append("THETA: NONZERO")
-        payload["theta"] = "NONZERO"
-    coeffs = " ".join(str(int(v)) for v in cls.representative.coeffs)
-    out.append(f"THETA-REP: {coeffs}")
-    payload["representative"] = [int(v) for v in cls.representative.coeffs]
+    payload = {
+        "command": "theta",
+        "group": name,
+        "theta": "ZERO" if cls.is_zero else "NONZERO",
+        "representative": [int(v) for v in cls.representative.coeffs],
+    }
+    out = [
+        f"# theta over {name}, p={args.p}",
+        f"THETA: {payload['theta']}",
+        "THETA-REP: " + " ".join(map(str, payload["representative"])),
+    ]
     print(_emit(out, args.json, payload))
     return 0
 

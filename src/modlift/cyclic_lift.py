@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Error
-from .groups import Presentation, wpow
+from .groups import cyclic_presentation
 from .rings import Mat, Poly, PrimeCtx
 from .replift import LiftCertificate, Representation, verify_certificate
 
@@ -93,10 +93,6 @@ def companion_matrix(poly, mod: int) -> Mat:
     for r in range(d):
         m[r, d - 1] = -coeffs[r] % mod
     return Mat(mod, m)
-
-
-def cyclic_presentation(order: int) -> Presentation:
-    return Presentation(("s",), (wpow(0, order),))
 
 
 def jordan_companion_rep(ctx: PrimeCtx, n: int, i: int) -> Representation:

@@ -88,25 +88,29 @@ def _single_int(toks: Sequence[str], line: int) -> int:
     return _int_token(toks[1], line, toks[0])
 
 
+def _int_row(line: int, toks: Sequence[str], width: int, bound: int, what: str) -> list:
+    """One row of width >= 1 integers in [0, bound), or ParseError at line."""
+    try:
+        vals = list(map(int, toks))
+    except ValueError:
+        raise ParseError(line, f"{what} rows must be integers") from None
+    if len(vals) != width:
+        raise ParseError(line, f"expected {width} entries, got {len(vals)}")
+    if min(vals) < 0 or max(vals) >= bound:
+        raise ParseError(line, f"entries must lie in [0, {bound})")
+    return vals
+
+
 def parse_representation(text: str) -> Representation:
-    ctx = None
-    n = None
-    names: Optional[tuple] = None
+    ctx = n = names = None
     rel_tokens = []
     mats = {}
-    current: Optional[str] = None
-    pending_rows = []
-    headers = set()
-    lines = list(_logical_lines(text))
-    i = 0
-    while i < len(lines):
-        lineno, toks = lines[i]
+    lines = _logical_lines(text)
+    for lineno, toks in lines:
         key = toks[0]
-        if key in ("p", "n", "gens"):
-            # mat blocks need all three, so this also rejects one after a mat block
-            if key in headers:
-                raise ParseError(lineno, f"repeated {key} line")
-            headers.add(key)
+        # mat blocks need all three headers, so this also rejects one after a mat block
+        if {"p": ctx, "n": n, "gens": names}.get(key) is not None:
+            raise ParseError(lineno, f"repeated {key} line")
         if key == "p":
             try:
                 ctx = PrimeCtx(_single_int(toks, lineno))
@@ -137,30 +141,20 @@ def parse_representation(text: str) -> Representation:
                 raise ParseError(lineno, "p, n and gens must precede mat blocks")
             if len(toks) != 2:
                 raise ParseError(lineno, "mat takes exactly one generator name")
-            current = toks[1]
-            if current not in names:
-                raise ParseError(lineno, f"unknown generator {current!r}")
-            if current in mats:
-                raise ParseError(lineno, f"duplicate matrix for {current!r}")
-            pending_rows = []
-            for r in range(n):
-                i += 1
-                if i >= len(lines):
-                    raise ParseError(lineno, f"matrix for {current!r} is truncated")
-                rowno, row = lines[i]
-                try:
-                    vals = [int(v) for v in row]
-                except ValueError:
-                    raise ParseError(rowno, "matrix rows must be integers") from None
-                if len(vals) != n:
-                    raise ParseError(rowno, f"expected {n} entries, got {len(vals)}")
-                if any(not 0 <= v < ctx.p for v in vals):
-                    raise ParseError(rowno, f"entries must lie in [0, {ctx.p})")
-                pending_rows.append(vals)
-            mats[current] = pending_rows
+            name = toks[1]
+            if name not in names:
+                raise ParseError(lineno, f"unknown generator {name!r}")
+            if name in mats:
+                raise ParseError(lineno, f"duplicate matrix for {name!r}")
+            rows = []
+            for _ in range(n):
+                row = next(lines, None)
+                if row is None:
+                    raise ParseError(lineno, f"matrix for {name!r} is truncated")
+                rows.append(_int_row(*row, n, ctx.p, "matrix"))
+            mats[name] = rows
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
-        i += 1
     if ctx is None:
         raise ParseError(None, "missing p line")
     if n is None:
@@ -194,27 +188,16 @@ def format_representation(rep: Representation, header: Optional[str] = None) -> 
 
 def parse_group_table(text: str) -> FiniteGroup:
     lines = list(_logical_lines(text))
-    if not lines or lines[0][1][0] != "order":
-        raise ParseError(lines[0][0] if lines else None, "expected 'order N' header")
-    lineno, toks = lines[0]
+    lineno, toks = lines[0] if lines else (None, ())
     try:
+        if len(toks) != 2 or toks[0] != "order":
+            raise ValueError
         order = int(toks[1])
-    except (IndexError, ValueError):
+    except ValueError:
         raise ParseError(lineno, "expected 'order N' header") from None
     if len(lines) - 1 != order:
         raise ParseError(lineno, f"expected {order} table rows, got {len(lines) - 1}")
-    table = []
-    for rowno, row in lines[1:]:
-        try:
-            vals = [int(v) for v in row]
-        except ValueError:
-            raise ParseError(rowno, "table rows must be integers") from None
-        if len(vals) != order:
-            raise ParseError(rowno, f"expected {order} entries, got {len(vals)}")
-        if any(not 0 <= v < order for v in vals):
-            raise ParseError(rowno, f"entries must lie in [0, {order})")
-        table.append(vals)
-    return FiniteGroup(table)
+    return FiniteGroup([_int_row(*row, order, order, "table") for row in lines[1:]])
 
 
 def format_group_table(g: FiniteGroup) -> str:

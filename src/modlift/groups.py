@@ -15,6 +15,8 @@ a and s is b), (h, 2, h-1, 0) for D_{2h}, (h, 2, h-1, h/2) for Q_{2h} and
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Optional, Sequence
@@ -247,14 +249,16 @@ class Subgroup:
         e = np.array(elems)
         member = np.zeros(g.order, dtype=bool)
         member[e] = True
-        bad_inv = ~member[g.inverse[e]]
-        bad_mul = ~member[g.table[np.ix_(e, e)]]
-        rows = np.flatnonzero(bad_inv | bad_mul.any(axis=1))
-        if rows.size:
-            a = rows[0]
-            if bad_inv[a]:
-                raise NotASubgroup(f"not inverse-closed at {elems[a]}")
-            raise NotASubgroup(f"not closed at {elems[a]}*{elems[bad_mul[a].argmax()]}")
+        step = max(1, (1 << 18) // len(e))  # rows per slab, as in FiniteGroup._audit
+        for lo in range(0, len(e), step):
+            bad_inv = ~member[g.inverse[e[lo : lo + step]]]
+            bad_mul = ~member[g.table[np.ix_(e[lo : lo + step], e)]]
+            rows = np.flatnonzero(bad_inv | bad_mul.any(axis=1))
+            if rows.size:
+                a = rows[0]
+                if bad_inv[a]:
+                    raise NotASubgroup(f"not inverse-closed at {elems[lo + a]}")
+                raise NotASubgroup(f"not closed at {elems[lo + a]}*{elems[bad_mul[a].argmax()]}")
 
     @property
     def order(self) -> int:
@@ -290,10 +294,15 @@ def _metacyclic(m: int, k: int, r: int, t: int, pres: Presentation, gens: tuple,
     return pres, FiniteGroup(table, pres, gens, name=name)
 
 
+def cyclic_presentation(n: int) -> Presentation:
+    """<s | s^n>."""
+    return Presentation(("s",), (wpow(0, n),))
+
+
 def cyclic_group(n: int) -> tuple:
     """C_n = <s | s^n>."""
     _check_order(n)
-    return _metacyclic(n, 1, 1, 0, Presentation(("s",), (wpow(0, n),)), (1 % n,), f"C{n}")
+    return _metacyclic(n, 1, 1, 0, cyclic_presentation(n), (1 % n,), f"C{n}")
 
 
 def direct_product_cyclic(a: int, b: int) -> tuple:
@@ -360,6 +369,10 @@ def perm_group(perms: Sequence[tuple], names: Sequence[str], relators: Sequence[
     """
     if not perms:
         raise UnsupportedFamily("need at least one permutation")
+    try:
+        perms = [tuple(map(operator.index, s)) for s in perms]
+    except TypeError:
+        raise UnsupportedFamily("generators must be permutations of integers") from None
     deg = len(perms[0])
     ident = tuple(range(deg))
     if any(len(s) != deg or set(s) != set(ident) for s in perms):
@@ -482,12 +495,8 @@ def sylow(g: FiniteGroup, p: int) -> Subgroup:
     elems = {0} if target < g.order else set(range(g.order))
     while len(elems) < target:
         for x in range(1, g.order):
-            if x in elems:
-                continue
-            o = g.order_of(x)
-            while o % p == 0:
-                o //= p
-            if o != 1:
+            # x is a p-element iff its order, a divisor of |G|, divides the p-part
+            if x in elems or target % g.order_of(x):
                 continue
             if all(g.conjugate(x, h) in elems for h in elems):
                 elems = set(closure(g, set(elems) | {x}))
@@ -515,66 +524,41 @@ class BadSubgroup:
     elements: tuple
 
 
-def _smallest_big_prime_factor(n: int) -> Optional[int]:
-    """Smallest prime >= 5 dividing n, or None."""
-    while n % 2 == 0:
-        n //= 2
-    while n % 3 == 0:
-        n //= 3
-    if n == 1:
-        return None
-    d = 5
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
 def find_subgroup_witness(g: FiniteGroup) -> Optional[BadSubgroup]:
     """First non-liftable subgroup in the fixed search order, or None.
 
     Order: C_p with p >= 5, then C9, then C3xC3, then C2xC2, then Q8.  All
     scans run in ascending element index, so witnesses are reproducible.
     """
-    # C_p, p >= 5: any element order divisible by such a prime
-    for x in range(1, g.order):
-        o = g.order_of(x)
-        q = _smallest_big_prime_factor(o)
-        if q is not None:
+    orders = g.orders.tolist()
+    # C_p, p >= 5: the least divisor d >= 5 of the part of an order prime
+    # to 6 is a prime (orders are at most 4096, so 6^12 covers 2 and 3)
+    for x, o in enumerate(orders):
+        rest = o // math.gcd(o, 6**12)
+        if rest > 1:
+            q = next(d for d in range(5, rest + 1) if rest % d == 0)
             y = g.power(x, o // q)
             return BadSubgroup("Cp", q, (y,), closure(g, (y,)))
     # C9: an element of order divisible by 9
-    for x in range(1, g.order):
-        o = g.order_of(x)
+    for x, o in enumerate(orders):
         if o % 9 == 0:
             y = g.power(x, o // 9)
             return BadSubgroup("C9", 3, (y,), closure(g, (y,)))
-    # C3xC3: two commuting order-3 elements generating 9 elements
-    order3 = [x for x in range(1, g.order) if g.order_of(x) == 3]
-    for x in order3:
-        span_x = closure(g, (x,))
-        for y in order3:
-            if y in span_x:
-                continue
-            if g.mul(x, y) == g.mul(y, x):
-                return BadSubgroup("C3xC3", 3, (x, y), closure(g, (x, y)))
-    # C2xC2: two distinct commuting involutions
-    invol = [x for x in range(1, g.order) if g.order_of(x) == 2]
-    for i, x in enumerate(invol):
-        for y in invol[i + 1 :]:
-            if g.mul(x, y) == g.mul(y, x):
-                return BadSubgroup("C2xC2", 2, (x, y), closure(g, (x, y)))
-    # Q8: x of order 4, y with y^2 = x^2 and y x y^-1 = x^-1
-    order4 = [x for x in range(1, g.order) if g.order_of(x) == 4]
-    for x in order4:
-        x2 = g.mul(x, x)
-        xinv = g.inv_of(x)
-        for y in order4:
-            if g.mul(y, y) == x2 and g.conjugate(y, x) == xinv:
-                elems = closure(g, (x, y))
-                if len(elems) == 8:
-                    return BadSubgroup("Q8", 2, (x, y), elems)
+    # Each relation is symmetric, so the least x with a partner has its least
+    # partner above it.  Q8: y x y^-1 = x^-1 puts y outside <x> and y^2 = x^2
+    # inside it, so <x, y> has order 8.
+    commute = lambda x, y: g.mul(x, y) == g.mul(y, x)
+    pairs = (
+        ("C3xC3", 3, 3, lambda x, y: y != g.mul(x, x) and commute(x, y)),
+        ("C2xC2", 2, 2, commute),
+        ("Q8", 2, 4, lambda x, y: g.mul(y, y) == g.mul(x, x) and g.conjugate(y, x) == g.inv_of(x)),
+    )
+    for kind, p, k, related in pairs:
+        elems = [x for x, o in enumerate(orders) if o == k]
+        for i, x in enumerate(elems):
+            for y in elems[i + 1 :]:
+                if related(x, y):
+                    return BadSubgroup(kind, p, (x, y), closure(g, (x, y)))
     return None
 
 

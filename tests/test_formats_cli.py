@@ -95,6 +95,12 @@ def test_group_table_rejects_bad_row_count():
         parse_group_table("order 2\n0 1\n")
 
 
+@pytest.mark.parametrize("text", ["order 1 x\n0\n", "order\n0\n", "order x\n0\n", "rows 1\n0\n"])
+def test_group_table_rejects_bad_header(text):
+    with pytest.raises(ParseError, match=r"^line 1: expected 'order N' header$"):
+        parse_group_table(text)
+
+
 def test_algebra_element_round_trip():
     _, g = cyclic_group(9)
     elt = one_minus_generator(g, 3) ** 4

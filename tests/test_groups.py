@@ -13,6 +13,7 @@ from modlift.classify import classify
 from modlift.formats import family_from_tokens
 from modlift.groups import (
     MAX_ORDER,
+    BadSubgroup,
     FiniteGroup,
     GroupAuditError,
     OrderTooLarge,
@@ -388,6 +389,7 @@ def test_perm_group_a7_speed():
         [(1, 0), (1, 0, 2)],         # second generator of higher degree
         [(1, 0, 2), (0, 0, 2)],      # not a bijection
         [(1, 0, 2), (0, 1, 3)],      # entry out of range
+        [(1.0, 0.0)],                # equal to 0..d-1 but not integers
     ],
 )
 def test_perm_group_rejects_non_permutations(perms):
@@ -476,6 +478,29 @@ def test_subgroup_validation():
         Subgroup(c6, (1, 5))  # no identity
 
 
+def test_subgroup_check_in_slabs():
+    # the whole of Q4096 as a subgroup: one |H| x |H| gather would hold 144 MiB
+    _, g = generalized_quaternion(4096)
+    tracemalloc.start()
+    try:
+        h = sylow(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.order == 4096
+    assert peak < 16 << 20
+
+
+def test_subgroup_validation_past_first_slab():
+    # C4 x C1024 with (i, j) at index 1024 i + j: the rows of {i = 0} pass and
+    # the row of 1024 = (1, 0) fails, in a later slab of 2^18 // |S| rows
+    _, g = direct_product_cyclic(4, 1024)
+    with pytest.raises(NotASubgroup, match="not inverse-closed at 1024$"):
+        Subgroup(g, tuple(range(2048)))
+    with pytest.raises(NotASubgroup, match=r"not closed at 1024\*1024$"):
+        Subgroup(g, tuple(range(2048)) + tuple(range(3072, 4096)))
+
+
 # --- witness search ---------------------------------------------------------
 
 
@@ -510,6 +535,64 @@ def test_witness_c27_and_c3xc3():
     bad = find_subgroup_witness(e9)
     assert bad.kind == "C3xC3"
     assert len(bad.elements) == 9
+
+
+def reference_subgroup_witness(g):
+    """The former search: a factor loop per element order for C_p, then
+    three nested scans, each over every candidate y for each x."""
+    def smallest_big_prime_factor(n):
+        while n % 2 == 0:
+            n //= 2
+        while n % 3 == 0:
+            n //= 3
+        if n == 1:
+            return None
+        d = 5
+        while d * d <= n:
+            if n % d == 0:
+                return d
+            d += 2
+        return n
+
+    for x in range(1, g.order):
+        o = g.order_of(x)
+        q = smallest_big_prime_factor(o)
+        if q is not None:
+            y = g.power(x, o // q)
+            return BadSubgroup("Cp", q, (y,), closure(g, (y,)))
+    for x in range(1, g.order):
+        o = g.order_of(x)
+        if o % 9 == 0:
+            y = g.power(x, o // 9)
+            return BadSubgroup("C9", 3, (y,), closure(g, (y,)))
+    order3 = [x for x in range(1, g.order) if g.order_of(x) == 3]
+    for x in order3:
+        span_x = closure(g, (x,))
+        for y in order3:
+            if y not in span_x and g.mul(x, y) == g.mul(y, x):
+                return BadSubgroup("C3xC3", 3, (x, y), closure(g, (x, y)))
+    invol = [x for x in range(1, g.order) if g.order_of(x) == 2]
+    for i, x in enumerate(invol):
+        for y in invol[i + 1 :]:
+            if g.mul(x, y) == g.mul(y, x):
+                return BadSubgroup("C2xC2", 2, (x, y), closure(g, (x, y)))
+    order4 = [x for x in range(1, g.order) if g.order_of(x) == 4]
+    for x in order4:
+        for y in order4:
+            if g.mul(y, y) == g.mul(x, x) and g.conjugate(y, x) == g.inv_of(x):
+                elems = closure(g, (x, y))
+                if len(elems) == 8:
+                    return BadSubgroup("Q8", 2, (x, y), elems)
+    return None
+
+
+def test_witness_matches_reference():
+    kinds = set()
+    for g in family_test_groups():
+        bad = find_subgroup_witness(g)
+        assert bad == reference_subgroup_witness(g), g.name
+        kinds.add(bad and bad.kind)
+    assert kinds == {None, "Cp", "C9", "C3xC3", "C2xC2", "Q8"}
 
 
 def test_witness_none_on_listed_families():
