@@ -21,6 +21,18 @@ mantissa, so the products are exact in any BLAS order, and the float width
 follows from p as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3),
 2008).  `linearize`, `_linearize_relator`, `_float_dtype`, `_reduce_mod` and
 `verify_certificate` give the walk, the bounds and the exact recheck.
+
+A run g^m of a generator with a relator g^N, N a power of p, needs only
+min(m, n) of its m terms.  Over F_p, (g - 1)^N = g^N - 1 = 0, so h = g^(+-1)
+and s = h^-T are 1 + N and 1 + N' with N^n = N'^n = 0, and h^t = sum_{i<n}
+C(t, i) N^i.  The run's terms are X_0 h^t and Y_0 s^t, so
+
+    sum_{t<m} X_t^T Y_t  =  sum_{i,j<d} G_ij (X_0 N^i)^T (Y_0 N'^j),
+    G_ij = sum_{t<m} C(t, i) C(t, j) mod p,   d = min(m, n),
+
+which is one block product over d pairs with the Y half mixed by the d x d
+Gram matrix G.  The identity holds mod p term by term, so A and b are the
+same integers either way; runs longer than n of such generators take it.
 """
 
 from __future__ import annotations
@@ -269,22 +281,76 @@ def _stack_powers(out, step, p) -> None:
             step_k = _reduce_mod(step_k @ step_k, p)
 
 
-def _linearize_relator(out, word, steps, lift_steps, p, p2):
+def _binomial_gram(m, d, p, dtype):
+    """[G; c_(m-1); c_m], (d + 2) x d over F_p in dtype, for m >= 1: G[i, j] =
+    sum_{t<m} C(t, i) C(t, j) and c_t[j] = C(t, j), i, j < d, in memory
+    independent of m.
+
+    Below _CHUNK rows, Pascal's triangle is written out, column i the
+    running sum of column i-1 (C(t, i) = sum_{s<t} C(s, i-1)), and G is the
+    table's Gram matrix, whose sums stay below _CHUNK (p-1)^2 like those of
+    a buffer's block product.  Past that, c_t = e_0 J^t with J = 1 + (ones
+    above the diagonal), so S_k = sum_{t<k} (J^t)^T E_00 J^t obeys S_(k+l)
+    = S_k + (J^k)^T S_l J^k, and rings.power takes [J^m, S_m] from [J, E_00]
+    in O(log m) float products of d x d operands in [0, p).  Powers of J
+    commute, so one batched product [J^l, S_l] @ J^k gives J^(k+l) and
+    S_l J^k.  Then c_(m-1) = c_m J^-1, and J^-1 = sum_i (-U)^i for the
+    shift U gives C(m-1, j) = sum_{i<=j} (-1)^(j-i) C(m, i).
+    """
+
+    def mul(a, b):
+        return _reduce_mod(a @ b, p)
+
+    out = np.empty((d + 2, d), dtype=dtype)
+    if m < _CHUNK:
+        table = np.zeros((m + 1, d), dtype=dtype)
+        table[:, 0] = 1
+        for i in range(1, d):
+            np.remainder(np.cumsum(table[:-1, i - 1]), p, out=table[1:, i])
+        out[:d], out[d:] = mul(table[:-1].T, table[:-1]), table[-2:]
+        return out
+
+    def combine(x, y):
+        xy = mul(y, x[0])
+        xy[1] = _reduce_mod(x[0].T @ xy[1] + x[1], p)
+        return xy
+
+    start = np.zeros((2, d, d), dtype=dtype)
+    start[0] = np.eye(d) + np.eye(d, k=1)
+    start[1, 0, 0] = 1
+    # m >= 1, so the identity of combine is never taken
+    jm, out[:d] = power(start, m, None, combine)
+    sign = (-1) ** np.arange(d)
+    out[d], out[d + 1] = np.cumsum(jm[0] * sign) * sign % p, jm[0]
+    return out
+
+
+def _linearize_relator(out, runs, steps, nil_steps, lift_steps, p, p2):
     """Fill one relator's block and return the relator's value at the lifts.
 
     out is the relator's zeroed block viewed as (n, n, k, n, n), so that
     out[a, b, g, c, d] is row (a, b), column (g, c, d) of the system.  The
-    walk goes one run g^(e*m) at a time and carries the prefix w at the
-    naive lifts over Z/p^2, whose reduction mod p is v, and (v^-1)^T over
-    F_p; w crosses the run as w @ lift_steps[g, e]^m, by rings.power in
-    O(log m) matmul_mod products.  A letter moves the pair (X, Y^T) =
-    (v, (v^-1)^T) to (X, Y^T) @ steps[g, e], which is (g, g^-T) for g and
-    (g^-1, g^T) for g^-1, so _stack_powers makes a run's rows from its
-    first pair.  A letter g is recorded before it is taken and a letter
+    walk goes one run g^(e*m), given as (g, e, m), at a time and carries
+    the prefix w at the naive lifts over Z/p^2, whose reduction mod p is v,
+    and (v^-1)^T over F_p; w crosses the run as w @ lift_steps[g, e]^m, by
+    rings.power in O(log m) matmul_mod products.  A letter moves the pair
+    (X, Y^T) = (v, (v^-1)^T) to (X, Y^T) @ steps[g, e], which is (g, g^-T)
+    for g and (g^-1, g^T) for g^-1, so _stack_powers makes a run's rows from
+    its first pair.  A letter g is recorded before it is taken and a letter
     g^-1 after, with X negated.
 
-    Each of the relator's k generators has one buffer of min(count,
-    _CHUNK // k) pairs, which its runs fill in order.  A full buffer is
+    A run longer than n whose (g, e) is in nil_steps, steps[g, e] - 1 for a
+    g of p-power order, enters compressed (module docstring): _stack_powers
+    makes the n rows (X_0 N^i, Y_0 N'^i) from the first pair with that
+    nilpotent step, and one product with _binomial_gram(m, n) replaces the
+    Y half by G Y and gives the next (v^-1)^T as sum_j C(m', j) Y_0 N'^j,
+    with m' = m - 1 for g^-1 (its last recorded letter) and m for g (one
+    letter on).  Each sum has n terms below (p-1)^2, the bound _stack_powers
+    keeps.  The n pairs are made apart and copied into g's buffer.
+
+    Each of the relator's k generators has one buffer of min(pairs,
+    _CHUNK // k) pairs, where pairs counts what its runs put in (m, or n
+    for a compressed run), which its runs fill in order.  A full buffer is
     flushed, and a run that goes on starts again at its front from its last
     pair; at the end every buffer that holds pairs is flushed.  A flush adds
     X^T Y over the buffer's letters into out.  Y is stored transposed, so
@@ -305,7 +371,10 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
     def mul_p(a, b):
         return _reduce_mod(a @ b, p)
 
-    counts = Counter(g for g, _ in word)
+    runs = [(g, e, m, nil_steps.get((g, e)) if m > n else None) for g, e, m in runs]
+    counts = Counter()
+    for g, _, m, nil in runs:
+        counts[g] += m if nil is None else n
     pairs = {
         g: np.empty((2, min(c, max(1, _CHUNK // len(counts))), n, n), dtype=fdt)
         for g, c in counts.items()
@@ -335,13 +404,29 @@ def _linearize_relator(out, word, steps, lift_steps, p, p2):
         written.add(g)
         filled[g] = 0
 
-    for (g, e), run in groupby(word):
-        m = sum(1 for _ in run)
+    for g, e, m, nil in runs:
         step, buf, i = steps[g, e], pairs[g], filled[g]
-        buf[0, i], buf[1, i] = (w if e == 1 else -w) % p, vinv_t
+        # a compressed run makes its n pairs outside the buffer
+        head, j = (buf, i) if nil is None else (np.empty((2, n, n, n), dtype=fdt), 0)
+        head[0, j], head[1, j] = (w if e == 1 else -w) % p, vinv_t
         if e == -1:
-            buf[:, i] = mul_p(buf[:, i], step)
+            head[:, j] = mul_p(head[:, j], step)
         w = mul_p2(w, power(lift_steps[g, e], m, eye, mul_p2))
+        if nil is not None:
+            _stack_powers(head, nil, p)
+            mixed = mul_p(_binomial_gram(m, n, p, fdt), head[1].reshape(n, n2))
+            head[1] = mixed[:n].reshape(n, n, n)
+            # the run's last Y: row m-1 of a run of g^-1, row m (one letter
+            # on) of a run of g
+            vinv_t = mixed[n + (e == 1)].reshape(n, n)
+            while j < n:
+                c = min(n - j, buf.shape[1] - i)
+                buf[:, i : i + c] = head[:, j : j + c]
+                j, filled[g] = j + c, i + c
+                if filled[g] == buf.shape[1]:
+                    flush(g)
+                i = filled[g]
+            continue
         while True:
             c = min(m, buf.shape[1] - i)
             rows = buf[:, i : i + c]
@@ -381,11 +466,15 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
     uint8 for p < 2^8 and uint16 above; the system keeps that narrow,
     read-only A without a copy, and b as int64.  The same walk gives each
     relator's defect E_w, in O(log m) matmul_mod products per run over
-    Z/p^2.  The F_p inverse of a generator g with a relator g^N
-    (_power_orders) is g^(N-1), in O(log N) matmul_mod products, and
-    Mat.inv's otherwise; lift_inverse's Newton step takes it to Z/p^2.
-    g^(N-1) is g^-1 unless g^N fails mod p, and the walk of g^N takes no
-    inverse, so it then fails.  A singular generator, a relator that fails
+    Z/p^2.  A run longer than n of a generator g with a relator g^N, N a
+    power of p, enters the block product as n pairs mixed by
+    _binomial_gram (module docstring), so a run of 2^16 letters costs O(n)
+    pairs and O(log m) n x n products.  The F_p inverse of a generator g
+    with a relator g^N (_power_orders) is g^(N-1), in O(log N) matmul_mod
+    products, and Mat.inv's otherwise; lift_inverse's Newton step takes it
+    to Z/p^2.  g^(N-1) is g^-1 and g - 1 nilpotent unless g^N fails mod p,
+    and the walk of g^N takes neither an inverse nor a compressed pair (its
+    value at the lifts is a power of one lift), so it then fails.  A singular generator, a relator that fails
     mod p (both found by `validate_rep`, with its messages) and, before any
     allocation, a system over MAX_SYSTEM_BYTES raise InvalidRepresentation.
     """
@@ -402,7 +491,8 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
         naive_lifts = canonical_lifts(rep)
     _check_naive_lifts(rep, naive_lifts)
     orders = _power_orders(rep.presentation)
-    inverted = {g for word in relators for g, e in word if e == -1}
+    runs = [[(g, e, sum(1 for _ in run)) for (g, e), run in groupby(word)] for word in relators]
+    inverted = {g for word in runs for g, e, _ in word if e == -1}
     steps, lift_steps = {}, {}
     fdt = _float_dtype(p)
     eye, mul_p = np.eye(n, dtype=np.int64), functools.partial(matmul_mod, mod=p)
@@ -414,11 +504,16 @@ def linearize(rep: Representation, naive_lifts: Optional[Sequence[Mat]] = None) 
             if g in inverted:
                 steps[g, -1] = np.array((b, a.T), dtype=fdt)
                 lift_steps[g, -1] = lift_inverse(naive_lifts[g].a, b, p2)
+        # the steps less 1 of the runs that enter compressed: longer than n >
+        # 0, of a g with g^N for N a power of p (N divides p^bit_length(N)
+        # exactly then), so that (g - 1)^N = g^N - 1 = 0 over F_p
+        nil_steps = {(g, e): (steps[g, e] - np.eye(n, dtype=fdt)) % p for word in runs for g, e, m in word
+                     if 0 < n < m and g in orders and pow(p, orders[g].bit_length(), orders[g]) == 0}
         matrix = np.zeros((len(relators), n, n, k, n, n), dtype=np.min_scalar_type(p - 1))
         rhs = np.zeros((len(relators), n, n), dtype=np.int64)
         defects = []
-        for block, b, word in zip(matrix, rhs, relators):
-            value = _linearize_relator(block, word, steps, lift_steps, p, p2)
+        for block, b, word_runs in zip(matrix, rhs, runs):
+            value = _linearize_relator(block, word_runs, steps, nil_steps, lift_steps, p, p2)
             defect = split_kernel_element(Mat(p2, value), p)
             b[...] = (-defect.a) % p
             defects.append(defect)

@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import time
 import tracemalloc
@@ -52,6 +53,7 @@ from modlift.replift import (
     restrict,
     validate_rep,
     verify_certificate,
+    _binomial_gram,
     _float_dtype,
     _reduce_mod,
     _stack_powers,
@@ -264,6 +266,87 @@ def test_linearize_matches_kron_oracle(p, n, k, length, randomize, seed, runs):
     assert got.dtype == rhs.dtype and got.shape == rhs.shape
     assert got.tobytes() == rhs.tobytes()
     assert [(d.mod, d.a.tobytes()) for d in lin.defects] == [(d.mod, d.a.tobytes()) for d in defects]
+
+
+def commuting_unipotent_rep(rng, p, n, a, m1, m2):
+    """<s, t | s^(p^a), t^(p^a), s^m1 t^m2 s^-m1 t^-m2> over F_p in dimension n.
+
+    s is the companion matrix of (x-1)^n conjugated by a random P, and t =
+    1 + q(s)(s - 1) for a random polynomial q, so s and t commute, and both
+    have order dividing p^a once p^a >= n.
+    """
+    assert p ** a >= n
+    one = Mat.identity(p, n)
+    s = jordan_companion_rep(PrimeCtx(p), a, n).gen_mats[0]
+    conj = random_invertible(rng, p, n)
+    s = conj @ s @ conj.inv()
+    q = Mat(p, np.zeros((n, n), dtype=np.int64))
+    for c in rng.integers(0, p, n):
+        q = q @ s + Mat(p, one.a * int(c))
+    t = one + q @ (s - one)
+    relators = (wpow(0, p ** a), wpow(1, p ** a), wmul(wpow(0, m1), wpow(1, m2), wpow(0, -m1), wpow(1, -m2)))
+    return Representation(PrimeCtx(p), Presentation(("s", "t"), relators), (s, t), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(1, 5),
+    extra=st.integers(0, 1),
+    # each commutator run is n + |k| letters long, with the sign of k
+    k1=st.integers(-40, 40).filter(bool),
+    k2=st.integers(-40, 40).filter(bool),
+    # buffers of one pair and rings.power from the first Pascal row, or
+    # the buffers and the written-out Pascal table linearize runs with
+    chunk=st.sampled_from([1, 3, _CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=2, n=4, extra=0, k1=-9, k2=11, chunk=1, seed=0)
+@example(p=3, n=5, extra=0, k1=-13, k2=-7, chunk=3, seed=1)
+@example(p=7, n=5, extra=1, k1=30, k2=-40, chunk=_CHUNK, seed=2)
+def test_linearize_compressed_runs_match_kron_oracle(p, n, extra, k1, k2, chunk, seed):
+    # runs longer than n of p-power-order generators enter as n prefix
+    # pairs mixed by _binomial_gram, and must give A, b and the defects
+    # that one Kronecker block per letter gives
+    rng = np.random.default_rng(seed)
+    a = next(a for a in range(1, 4) if p ** a >= n) + extra
+    m1, m2 = (k + n * int(np.sign(k)) for k in (k1, k2))
+    rep = commuting_unipotent_rep(rng, p, n, a, m1, m2)
+    validate_rep(rep)
+    lifts = randomized_lifts(rep, rng)
+    matrix, rhs, defects = kron_linearize(rep, lifts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replift, "_CHUNK", chunk)
+        lin = linearize(rep, lifts)
+    assert lin.system.matrix.astype(np.int64).tobytes() == matrix.tobytes()
+    assert lin.system.rhs.tobytes() == rhs.tobytes()
+    assert [(d.mod, d.a.tobytes()) for d in lin.defects] == [(d.mod, d.a.tobytes()) for d in defects]
+
+
+def binomial_gram_by_definition(m, d, p):
+    """[sum_{t<m} C(t, i) C(t, j); C(m-1, j); C(m, j)] mod p, term by term."""
+    rows = np.array([[math.comb(t, i) % p for i in range(d)] for t in range(m + 1)], dtype=np.int64)
+    return np.concatenate(((rows[:-1].T @ rows[:-1]) % p, rows[-2:]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binomial_gram_matches_definition(p, monkeypatch):
+    # both ways of forming it: the written-out table below _CHUNK rows and
+    # rings.power from the first row past it (forced here by _CHUNK = 1)
+    for m in range(1, 201):
+        want = binomial_gram_by_definition(m, 8, p)
+        for chunk in (_CHUNK, 1):
+            monkeypatch.setattr(replift, "_CHUNK", chunk)
+            for d in range(1, 9):
+                got = _binomial_gram(m, d, p, _float_dtype(p)).astype(np.int64)
+                assert got.tobytes() == np.concatenate((want[:d, :d], want[8:, :d])).tobytes(), (chunk, m, d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binomial_gram_at_two_to_the_sixteen(p):
+    m, d = 1 << 16, 8
+    want = binomial_gram_by_definition(m, d, p)
+    assert _binomial_gram(m, d, p, _float_dtype(p)).astype(np.int64).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -906,19 +989,37 @@ def test_linearize_peak_memory():
 
 
 def test_linearize_long_relator_peak_memory():
-    # <s | s^65536> in dimension 20: one buffer of _CHUNK prefix pairs, in
-    # float32, is reused for the whole run.  The peak is that buffer, its
-    # X^T copy and one slab of the block product: 3.3 MiB, 2.1 buffers
+    # <s | s^65536> in dimension 20: the run enters as n prefix pairs, so its
+    # buffer is n pairs (62.5 KiB in float32), not _CHUNK (1.6 MB).  The
+    # peak is set by the block product instead: A's block (n^4 bytes), two
+    # slabs of _SLAB floats (the product being reduced while the last one
+    # is still referenced) and _reduce_mod's slab-sized temporary, 1.22 MB
+    # on numpy 2; the bound leaves a 25 % margin over that
     n = 20
     rep = jordan_companion_rep(CTX2, 16, n)
-    buffer = 2 * _CHUNK * n * n * np.dtype(_float_dtype(2)).itemsize
     tracemalloc.start()
     try:
         linearize(rep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * buffer
+    assert peak <= 1.25 * 1.22e6
+
+
+def test_linearize_long_run_stacks_n_rows(monkeypatch):
+    # <s | s^65536> in dimension 20: s has 2-power order, so its run of
+    # 65,536 letters puts n = 20 rows, not one a letter, through
+    # _stack_powers and the block product
+    stacked = []
+
+    def counted(out, step, p):
+        stacked.append(out.shape[-3])
+        return _stack_powers(out, step, p)
+
+    monkeypatch.setattr(replift, "_stack_powers", counted)
+    n = 20
+    linearize(jordan_companion_rep(CTX2, 16, n))
+    assert sum(stacked) <= n + 1
 
 
 def test_linearize_dimension_guard():
